@@ -44,8 +44,6 @@ from .prediction import (
 from .recovery import (
     RecoveryProblem,
     RecoveryResult,
-    WeightMatrix,
-    calibrate_threshold,
     decide_occupancy,
     design_weights,
     error_gain,

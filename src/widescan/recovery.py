@@ -8,7 +8,11 @@ by operator splitting: a weighted complex soft-threshold step on the
 objective alternating with an exact Euclidean projection onto the residual
 ball, coupled through a scaled dual variable. The projection is computed
 from one SVD of Psi per problem, so every returned iterate is feasible up
-to root-finding precision. Greedy pursuits live in widescan.greedy.
+to root-finding precision. Its Lagrange multiplier is the root of a
+trust-region secular equation, found by Newton's method on the reciprocal
+residual norm (concave, so the steps never overshoot from the left) and
+warm-started from the previous projection's root. Greedy pursuits live in
+widescan.greedy.
 """
 
 import math
@@ -61,34 +65,6 @@ class RecoveryResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Block-constant positive diagonal used by the column-scaled formulation."""
-
-    diagonal: np.ndarray
-
-    def __post_init__(self):
-        diag = np.array(self.diagonal, dtype=float)
-        if np.any(diag <= 0):
-            raise ValueError("weight diagonal must be strictly positive")
-        diag.flags.writeable = False
-        object.__setattr__(self, "diagonal", diag)
-
-    @classmethod
-    def from_blocks(cls, part: BlockPartition, block_weights) -> "WeightMatrix":
-        w = np.asarray(block_weights, dtype=float)
-        if w.shape != (part.g,):
-            raise ValueError(f"need {part.g} block weights, got shape {w.shape}")
-        return cls(diagonal=np.repeat(w, part.block_sizes))
-
-    def matches(self, part: BlockPartition) -> bool:
-        if self.diagonal.shape != (part.n,):
-            return False
-        return all(
-            np.all(self.diagonal[s] == self.diagonal[s][0]) for s in part.block_slices()
-        )
-
-
 def design_weights(k_bar, floor: float = SPARSITY_FLOOR) -> np.ndarray:
     """Inverse-sparsity block weights, normalized to sum to one.
 
@@ -105,7 +81,20 @@ def design_weights(k_bar, floor: float = SPARSITY_FLOOR) -> np.ndarray:
 
 
 class _BallProjection:
-    """Exact Euclidean projection onto {z : ||A z - y||_2 <= eps} via one SVD."""
+    """Exact Euclidean projection onto {z : ||A z - y||_2 <= eps} via one SVD.
+
+    In the right singular basis the projection of a point with coefficients
+    c0 is c(lam) = (c0 + lam s b) / (1 + lam s^2), whose residual is
+    r_i(lam) = d_i / (1 + lam s_i^2) with d = s c0 - b. The multiplier lam is
+    the root of ||r(lam)||^2 = target. That norm equals ||(D + lam I)^-1 g||
+    with D = diag(1/s^2) and g = d/s^2, the trust-region secular function, so
+    1/||r(lam)|| is concave and increasing in lam (Reinsch 1971; More &
+    Sorensen 1983). Newton on 1/||r|| - 1/sqrt(target) therefore climbs
+    monotonically to the root from its left and, from its right, lands on
+    the left (or at lam = 0, where ||r||^2 = ||d||^2 > target) in one step.
+    Each solve starts from the previous projection's root: successive
+    splitting iterates move little, so a few steps usually suffice.
+    """
 
     def __init__(self, a_mat: np.ndarray, y: np.ndarray):
         u, s, vh = np.linalg.svd(a_mat, full_matrices=False)
@@ -113,15 +102,19 @@ class _BallProjection:
         keep = s > cutoff
         self.s = s[keep]
         self.vh = vh[keep]
+        self._v = np.ascontiguousarray(self.vh.conj().T)
         u_kept = u[:, keep]
         b = u_kept.conj().T @ y
         self.b = b
+        self._ssq = self.s**2
+        self._sb = self.s * b
         # Norm of the unreachable component of y, formed explicitly to avoid
         # the cancellation in ||y||^2 - ||b||^2.
         y_perp = y - u_kept @ b
         self.y_perp_sq = float(np.vdot(y_perp, y_perp).real)
         # Least-squares coefficients, the limit point when eps is unattainable.
         self._c_ls = b / self.s if self.s.size else b
+        self._lam = 0.0
 
     @property
     def min_residual(self) -> float:
@@ -138,55 +131,35 @@ class _BallProjection:
             c = self._c_ls
         else:
             c = self._solve_secular(c0, d, target)
-        return a + self.vh.conj().T @ (c - c0)
+        return a + self._v @ (c - c0)
 
     def _solve_secular(self, c0, d, target):
-        # phi(lam) = sum |d_i|^2 / (1 + lam s_i^2)^2 is convex and decreases
-        # monotonically from ||d||^2 > target toward 0, so the root is unique
-        # and safeguarded Newton converges from the left.
-        dsq = np.abs(d) ** 2
-        ssq = self.s**2
-
-        def phi(lam):
-            q = 1.0 + lam * ssq
-            return float(np.sum(dsq / (q * q)))
-
-        def dphi(lam):
-            q = 1.0 + lam * ssq
-            return float(np.sum(-2.0 * dsq * ssq / (q * q * q)))
-
-        lo, f_lo = 0.0, float(dsq.sum())
-        hi = 1.0
-        while phi(hi) > target:
-            lo, f_lo = hi, phi(hi)
-            hi *= 16.0
-            if hi > 1e40:
-                return self._c_ls
-        lam, f_val = lo, f_lo
+        dsq = d.real**2 + d.imag**2
+        ssq = self._ssq
+        lam = self._lam
         for _ in range(60):
-            if abs(f_val - target) <= 1e-9 * target:
+            q = 1.0 + lam * ssq
+            r = dsq / (q * q)
+            phi = float(r.sum())
+            if abs(phi - target) <= 1e-9 * target:
                 break
-            slope = dphi(lam)
-            nxt = lam - (f_val - target) / slope if slope < 0 else hi
-            if not lo < nxt < hi:
-                nxt = 0.5 * (lo + hi)
-            f_nxt = phi(nxt)
-            if f_nxt > target:
-                lo, lam, f_val = nxt, nxt, f_nxt
-            else:
-                hi = nxt
-                lam, f_val = nxt, f_nxt
-        return (c0 + lam * self.s * self.b) / (1.0 + lam * ssq)
+            dphi = -2.0 * float(np.dot(r, ssq / q))
+            lam = max(0.0, lam + 2.0 * phi * (1.0 - math.sqrt(phi / target)) / dphi)
+        else:  # step cap reached: q must match the last lam
+            q = 1.0 + lam * ssq
+        self._lam = lam
+        return (c0 + lam * self._sb) / q
 
 
 def _soft_threshold(v: np.ndarray, thresh: np.ndarray) -> np.ndarray:
     """Complex soft-threshold: shrink magnitudes, keep phases."""
     mag = np.abs(v)
     scale = np.maximum(mag - thresh, 0.0)
-    out = np.zeros_like(v)
-    nz = mag > 0
-    out[nz] = v[nz] * (scale[nz] / mag[nz])
-    return out
+    return v * np.divide(scale, mag, out=np.zeros_like(mag), where=mag > 0)
+
+
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(np.vdot(x, x).real)
 
 
 def _solve_constrained_l1(
@@ -224,12 +197,12 @@ def _solve_constrained_l1(
         v_new = _soft_threshold(z + u, w / rho)
         u = u + z - v_new
 
-        primal = float(np.linalg.norm(z - v_new))
-        dual = rho * float(np.linalg.norm(v_new - v))
+        primal = _norm(z - v_new)
+        dual = rho * _norm(v_new - v)
         v = v_new
 
-        scale = max(float(np.linalg.norm(z)), 1e-12)
-        change = float(np.linalg.norm(z - z_prev))
+        scale = max(_norm(z), 1e-12)
+        change = _norm(z - z_prev)
         if max(change, primal) <= tol * scale:
             hit_tol = True
             break
@@ -338,18 +311,6 @@ def decide_occupancy(spectra, threshold: float) -> np.ndarray:
         raise ValueError("need at least one recovered window")
     energy = np.sum(np.abs(stack) ** 2, axis=0)
     return energy >= threshold
-
-
-def calibrate_threshold(noise_recoveries, false_alarm_rate: float) -> float:
-    """Energy threshold hitting a target per-band false-alarm rate.
-
-    Takes recovered vectors from noise-only windows and returns the empirical
-    (1 - rate) quantile of their per-band energies.
-    """
-    if not 0 < false_alarm_rate < 1:
-        raise ValueError("false_alarm_rate must lie in (0, 1)")
-    energies = np.abs(np.asarray(noise_recoveries)) ** 2
-    return float(np.quantile(energies.ravel(), 1.0 - false_alarm_rate))
 
 
 def nmse(z_star, x) -> float:

@@ -1,0 +1,114 @@
+"""Compare the records two source trees write for every shipped config.
+
+    python tests/record_diff.py OLD_SRC NEW_SRC [--seed S] [--trials N]
+
+OLD_SRC and NEW_SRC are directories holding the `widescan` package (the
+`src` folder of two checkouts). Each config in `configs/` is run once per
+tree through `python -m widescan run` in its own subprocess, with BLAS on one
+thread, at the given master seed (default: the config's own) and trial count.
+For each config the report gives the max absolute and relative difference of
+every float column (`wall_time` excluded) and the rows whose `iterations`,
+`converged`, `miss` or `false_alarm` changed, per solver.
+
+Exit status: 0 when every run succeeded and only float columns moved, 1 when
+a run failed or the record keys, iterations, convergence flags or detection
+decisions differ. pytest does not collect this file (no `test_` prefix).
+"""
+
+import argparse
+import csv
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+KEY_COLUMNS = ("experiment", "sweep_value", "trial", "seed", "solver")
+FLOAT_COLUMNS = ("nmse_paper", "nmse_l2", "extra")
+EXACT_COLUMNS = ("iterations", "converged", "miss", "false_alarm")
+ONE_THREAD = {
+    name: "1"
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+}
+
+
+def run_config(src: Path, config: Path, out: Path, seed, trials) -> list[dict]:
+    """Run one config against one source tree and read back its records."""
+    cmd = [sys.executable, "-m", "widescan", "run", str(config), "--out", str(out)]
+    cmd += ["--trials", str(trials)]
+    if seed is not None:
+        cmd += ["--seed", str(seed)]
+    env = dict(os.environ, PYTHONPATH=str(src), **ONE_THREAD)
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(
+            f"{config.name} failed under {src} (exit {proc.returncode}):\n{proc.stderr}"
+        )
+    with open(out / "records.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _rel(a: float, b: float) -> float:
+    top = max(abs(a), abs(b))
+    return abs(a - b) / top if top > 0 else 0.0
+
+
+def compare(old: list[dict], new: list[dict]) -> tuple[list[str], bool]:
+    """Report lines for one config, and whether anything beyond floats moved."""
+    if len(old) != len(new) or any(
+        o[k] != n[k] for o, n in zip(old, new) for k in KEY_COLUMNS
+    ):
+        return [f"  record keys differ ({len(old)} vs {len(new)} rows)"], True
+    lines = [f"  {len(old)} records"]
+    for col in FLOAT_COLUMNS:
+        worst_abs = worst_rel = 0.0
+        for o, n in zip(old, new):
+            a, b = float(o[col]), float(n[col])
+            if math.isnan(a) and math.isnan(b):
+                continue
+            if math.isnan(a) != math.isnan(b):
+                worst_abs = worst_rel = math.inf
+                continue
+            worst_abs = max(worst_abs, abs(a - b))
+            worst_rel = max(worst_rel, _rel(a, b))
+        lines.append(f"  {col:11s} max abs {worst_abs:.3g}  max rel {worst_rel:.3g}")
+    moved = False
+    for col in EXACT_COLUMNS:
+        changed = Counter(n["solver"] for o, n in zip(old, new) if o[col] != n[col])
+        moved = moved or bool(changed)
+        detail = "".join(f", {s}: {c}" for s, c in sorted(changed.items()))
+        lines.append(f"  {col:11s} {sum(changed.values())} rows changed{detail}")
+    return lines, moved
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--seed", type=int, default=None, help="master seed override")
+    parser.add_argument("--trials", type=int, default=10, help="trials per config (>= 7)")
+    args = parser.parse_args(argv)
+    status = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for config in sorted(CONFIG_DIR.glob("*.ini")):
+            print(config.stem)
+            try:
+                old, new = (
+                    run_config(src, config, Path(tmp) / side / config.stem, args.seed, args.trials)
+                    for side, src in (("old", args.old_src), ("new", args.new_src))
+                )
+            except RuntimeError as exc:
+                print(f"  {exc}")
+                status = 1
+                continue
+            lines, moved = compare(old, new)
+            print("\n".join(lines))
+            status = max(status, int(moved))
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

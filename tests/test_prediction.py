@@ -90,6 +90,21 @@ class TestFitGd:
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         fit_gd(hist, lag=3, epochs=300)  # must not raise
 
+    def test_exact_fit_under_auto_rate_does_not_report_divergence(self):
+        # miss_detect_cdf at master seed 3317326368, window 9: blocks 1 and 2
+        # have four lag rows for six parameters and fit exactly, after which
+        # the loss wobbles at 1e-32
+        counts = [
+            [2, 0, 2], [5, 2, 0], [2, 0, 1], [2, 2, 0], [1, 2, 1],
+            [2, 2, 1], [2, 0, 0], [5, 0, 0], [3, 0, 0],
+        ]
+        hist = OccupancyHistory(counts=counts, block_sizes=(20, 20, 20))
+        pred = fit_gd(hist, lag=5)
+        for j in (1, 2):
+            design, targets = lag_design(hist.counts[:, j], 5)
+            fitted = np.concatenate(([pred.intercept[j]], pred.coef[j]))
+            assert np.max(np.abs(design @ fitted - targets)) <= 1e-9
+
     def test_history_shorter_than_lag_rejected(self):
         hist = one_block_history([1.0, 2.0])
         with pytest.raises(ValueError):

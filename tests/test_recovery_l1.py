@@ -9,7 +9,7 @@ from tests.conftest import gaussian_sensing, sparse_signal
 from widescan.measurement import ReductionMatrix, compose_sensing
 from widescan.recovery import (
     RecoveryProblem,
-    WeightMatrix,
+    _BallProjection,
     design_weights,
     solve_bp,
     solve_lasso,
@@ -84,12 +84,6 @@ class TestProblemValidation:
         psi = gaussian_sensing(4, 8, seed=0)
         with pytest.raises(ValueError):
             RecoveryProblem(psi=psi, y=np.zeros(4), epsilon=0.0, weights=[1.5, -0.5])
-
-    def test_weight_matrix_from_blocks(self):
-        part = make_block_partition(6, [2, 4], [0.5, 0.25])
-        wm = WeightMatrix.from_blocks(part, [0.75, 0.25])
-        assert np.allclose(wm.diagonal, [0.75, 0.75, 0.25, 0.25, 0.25, 0.25])
-        assert wm.matches(part)
 
     def test_lasso_refuses_weights(self):
         psi = gaussian_sensing(4, 8, seed=0)
@@ -245,6 +239,74 @@ class TestScaledFormulation:
         psi = gaussian_sensing(6, 12, seed=9)
         prob = RecoveryProblem(psi=psi, y=np.zeros(6), epsilon=0.0, weights=[0.5, 0.5])
         assert np.all(solve_wlasso_scaled(prob, part).z_star == 0)
+
+
+def bisection_projection(proj, a, eps):
+    """Reference ball projection: the multiplier found by plain bisection on
+    the squared residual norm to a relative width of 1e-14."""
+    c0 = proj.vh @ a
+    d = proj.s * c0 - proj.b
+    target = eps**2 - proj.y_perp_sq
+
+    def phi(lam):
+        return float(np.sum(np.abs(d) ** 2 / (1.0 + lam * proj.s**2) ** 2))
+
+    lo, hi = 0.0, 1.0
+    while phi(hi) > target:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-14 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if phi(mid) > target else (lo, mid)
+    lam = 0.5 * (lo + hi)
+    c = (c0 + lam * proj.s * proj.b) / (1.0 + lam * proj.s**2)
+    return a + proj.vh.conj().T @ (c - c0), lam
+
+
+class TestBallProjection:
+    def setup_method(self):
+        rng = np.random.default_rng(12)
+        self.a_mat = gaussian_sensing(8, 20, seed=12).psi
+        self.y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        self.a = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+        self.eps = 0.3 * np.linalg.norm(self.a_mat @ self.a - self.y)
+
+    def assert_matches_reference(self, proj, eps):
+        ref, lam = bisection_projection(proj, self.a, eps)
+        got = proj.project(self.a, eps)
+        assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
+        assert abs(proj._lam - lam) <= 1e-8 * lam
+        return got, lam
+
+    def test_result_lies_on_the_ball_boundary(self):
+        proj = _BallProjection(self.a_mat, self.y)
+        got, _ = self.assert_matches_reference(proj, self.eps)
+        residual = np.linalg.norm(self.a_mat @ got - self.y)
+        assert abs(residual - self.eps) <= 1e-9 * self.eps
+
+    @pytest.mark.parametrize("start", [0.0, 0.5, 20.0])
+    def test_warm_start_left_or_right_of_the_root_converges(self, start):
+        proj = _BallProjection(self.a_mat, self.y)
+        _, lam = bisection_projection(proj, self.a, self.eps)
+        proj._lam = start * lam
+        self.assert_matches_reference(proj, self.eps)
+
+    def test_tiny_budget(self):
+        # the budget solve_bp sets: the root lies about 1e9 right of a cold start
+        eps = 1e-9 * np.linalg.norm(self.y)
+        proj = _BallProjection(self.a_mat, self.y)
+        got, lam = self.assert_matches_reference(proj, eps)
+        assert lam > 1e8
+        assert np.linalg.norm(self.a_mat @ got - self.y) <= eps * (1 + 1e-6)
+
+    def test_unattainable_budget_returns_least_squares_point(self):
+        # rank 2 of 3 rows: the unreachable part of y exceeds the budget
+        a_mat = np.zeros((3, 8), dtype=complex)
+        a_mat[0, 0] = a_mat[1, 1] = 1.0
+        y = np.array([1.0, 2.0, 1.0], dtype=complex)
+        proj = _BallProjection(a_mat, y)
+        got = proj.project(self.a[:8], 0.5)
+        expected = self.a[:8] + np.linalg.pinv(a_mat) @ (y - a_mat @ self.a[:8])
+        assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
 
 class TestBasisPursuit:
