@@ -35,9 +35,6 @@ from .prediction import (
     OccupancyHistory,
     Predictor,
     fit_gd,
-    fit_svr,
-    history_from_csv,
-    history_to_csv,
     predict_sparsity,
     required_measurements,
 )

@@ -41,6 +41,7 @@ from .recovery import (
     RecoveryProblem,
     decide_occupancy,
     design_weights,
+    error_gain,
     nmse,
     nmse_l2,
     solve_bp,
@@ -578,9 +579,7 @@ def _gain_lines(records) -> list[str]:
                 continue
             other = by_key.get((sval, solver), {})
             gains = [
-                (other[t] - wl[t]) / other[t]
-                for t in other
-                if t in wl and other[t] > 0
+                error_gain(other[t], wl[t]) for t in other if t in wl and other[t] > 0
             ]
             if not gains:
                 continue

@@ -1,13 +1,16 @@
 """Compare the records two source trees write for every shipped config.
 
     python tests/record_diff.py OLD_SRC NEW_SRC [--seed S] [--trials N]
+                                [--config NAME ...]
 
 OLD_SRC and NEW_SRC are directories holding the `widescan` package (the
 `src` folder of two checkouts). Each config in `configs/` is run once per
 tree through `python -m widescan run` in its own subprocess, with BLAS on one
-thread, at the given master seed (default: the config's own) and trial count.
-For each config the report gives the max absolute and relative difference of
-every float column (`wall_time` excluded) and the rows whose `iterations`,
+thread, at the given master seed (default: the config's own) and trial count;
+`--config NAME` (repeatable, the file stem such as `miss_detect_cdf`) runs only
+the named configs. For each config the report gives the count of records that
+are byte-identical apart from `wall_time`, the max absolute and relative
+difference of every float column and the rows whose `iterations`,
 `converged`, `miss` or `false_alarm` changed, per solver.
 
 Exit status: 0 when every run succeeded and only float columns moved, 1 when
@@ -62,7 +65,10 @@ def compare(old: list[dict], new: list[dict]) -> tuple[list[str], bool]:
         o[k] != n[k] for o, n in zip(old, new) for k in KEY_COLUMNS
     ):
         return [f"  record keys differ ({len(old)} vs {len(new)} rows)"], True
-    lines = [f"  {len(old)} records"]
+    same = sum(
+        all(o[k] == n[k] for k in o if k != "wall_time") for o, n in zip(old, new)
+    )
+    lines = [f"  {len(old)} records, {same} byte-identical apart from wall_time"]
     for col in FLOAT_COLUMNS:
         worst_abs = worst_rel = 0.0
         for o, n in zip(old, new):
@@ -90,10 +96,22 @@ def main(argv=None) -> int:
     parser.add_argument("new_src", type=Path)
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--trials", type=int, default=10, help="trials per config (>= 7)")
+    parser.add_argument(
+        "--config",
+        action="append",
+        metavar="NAME",
+        help="run only this config (file stem; repeatable, default: all)",
+    )
     args = parser.parse_args(argv)
+    configs = sorted(CONFIG_DIR.glob("*.ini"))
+    if args.config:
+        unknown = set(args.config) - {c.stem for c in configs}
+        if unknown:
+            parser.error(f"unknown config(s): {', '.join(sorted(unknown))}")
+        configs = [c for c in configs if c.stem in args.config]
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for config in sorted(CONFIG_DIR.glob("*.ini")):
+        for config in configs:
             print(config.stem)
             try:
                 old, new = (

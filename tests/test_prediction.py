@@ -8,9 +8,6 @@ from hypothesis import strategies as st
 from widescan.prediction import (
     OccupancyHistory,
     fit_gd,
-    fit_svr,
-    history_from_csv,
-    history_to_csv,
     predict_sparsity,
     required_measurements,
 )
@@ -28,6 +25,28 @@ def least_squares_oracle(series, lag):
     return theta
 
 
+def curvature(series, lag):
+    """Top eigenvalue of the loss Hessian (2/N) D^T D."""
+    design, _ = lag_design(series, lag)
+    return 2.0 * np.linalg.norm(design, 2) ** 2 / design.shape[0]
+
+
+def gd_loop(series, lag, epochs, rate=None):
+    """Reference: fit_gd's estimator as an explicit epoch loop from zero."""
+    design, targets = lag_design(series, lag)
+    n_rows = design.shape[0]
+    rate = 1.0 / curvature(series, lag) if rate is None else rate
+    theta = np.zeros(lag + 1)
+    for _ in range(epochs):
+        err = design @ theta - targets
+        theta = theta - rate * (2.0 / n_rows) * (design.T @ err)
+    return theta
+
+
+def fitted(pred, block=0):
+    return np.concatenate(([pred.intercept[block]], pred.coef[block]))
+
+
 def one_block_history(series):
     counts = np.asarray(series, dtype=float)[:, None]
     return OccupancyHistory(counts=counts, block_sizes=(int(counts.max()) + 5,))
@@ -37,14 +56,6 @@ class TestHistory:
     def test_counts_must_respect_block_sizes(self):
         with pytest.raises(ValueError):
             OccupancyHistory(counts=[[5.0]], block_sizes=(4,))
-
-    def test_csv_round_trip(self, tmp_path):
-        counts = np.array([[1.0, 2.0], [3.0, 0.5], [2.0, 2.0]])
-        hist = OccupancyHistory(counts=counts, block_sizes=(4, 4))
-        path = tmp_path / "history.csv"
-        history_to_csv(hist, path)
-        back = history_from_csv(path, block_sizes=(4, 4))
-        assert np.array_equal(back.counts, counts)
 
 
 class TestFitGd:
@@ -111,30 +122,55 @@ class TestFitGd:
             fit_gd(hist, lag=5)
 
 
-class TestFitSvr:
-    def test_linear_series_matches_oracle_predictions(self):
-        series = 2.0 + 0.3 * np.arange(40)
-        lag = 2
-        hist = one_block_history(series)
-        pred = fit_svr(hist, lag=lag, C=10.0, epsilon_tube=0.0, epochs=6000)
-        oracle = least_squares_oracle(series, lag)
-        design, _ = lag_design(series, lag)
-        fitted = np.concatenate(([pred.intercept[0]], pred.coef[0]))
-        gap = np.max(np.abs(design @ fitted - design @ oracle))
-        assert gap <= 5e-2
+class TestClosedForm:
+    """fit_gd's closed form against the explicit epoch loop `gd_loop`."""
 
-    def test_wide_tube_keeps_zero_coefficients(self):
-        series = np.array([1.0, 2.0, 1.5, 2.5, 1.0, 2.0, 1.5])
+    def test_auto_rate_matches_epoch_loop(self):
+        rng = np.random.default_rng(7)
+        counts = np.clip(4 + np.cumsum(rng.normal(0, 0.8, (60, 3)), axis=0), 0, 20)
+        hist = OccupancyHistory(counts=counts, block_sizes=(20, 20, 20))
+        pred = fit_gd(hist, lag=5)
+        for j in range(3):
+            ref = gd_loop(hist.counts[:, j], 5, 500)
+            assert np.max(np.abs(fitted(pred, j) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_first_epochs_match_epoch_loop(self, epochs):
+        series = np.array([2.0, 3.0, 1.0, 4.0, 4.0, 2.0, 5.0, 3.0, 2.0, 6.0])
+        pred = fit_gd(one_block_history(series), lag=3, epochs=epochs)
+        ref = gd_loop(series, 3, epochs)
+        assert np.max(np.abs(fitted(pred) - ref)) <= 1e-14 * (1 + np.max(np.abs(ref)))
+
+    def test_constant_series_matches_epoch_loop(self):
+        # every lag row is the same, so the Gram matrix has rank one and its
+        # other eigenvalues are rounding noise of either sign
+        series = np.full(25, 3.0)
+        pred = fit_gd(one_block_history(series), lag=4)
+        ref = gd_loop(series, 4, 500)
+        assert np.all(np.isfinite(fitted(pred)))
+        assert np.max(np.abs(fitted(pred) - ref)) <= 1e-12
+
+    def test_oscillating_supplied_rate_matches_epoch_loop(self):
+        # rate * lam_max = 1.9: the top component flips sign every epoch but
+        # shrinks, so the loop converges and nothing may raise
+        series = 5.0 + 2.0 * np.sin(0.7 * np.arange(40))
+        rate = 1.9 / curvature(series, 2)
+        pred = fit_gd(one_block_history(series), lag=2, learning_rate=rate, epochs=200)
+        ref = gd_loop(series, 2, 200, rate)
+        assert np.max(np.abs(fitted(pred) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_rate_past_two_over_curvature_raises_at_first_epoch(self):
+        series = 5.0 + 2.0 * np.sin(0.7 * np.arange(40))
         hist = one_block_history(series)
-        pred = fit_svr(hist, lag=2, C=5.0, epsilon_tube=10.0, epochs=50)
+        rate = 2.1 / curvature(series, 2)
+        with pytest.raises(ValueError, match="smaller learning_rate"):
+            fit_gd(hist, lag=2, learning_rate=rate, epochs=1)
+        pred = fit_gd(hist, lag=2, learning_rate=rate, epochs=0)
         assert np.all(pred.coef == 0) and np.all(pred.intercept == 0)
 
-    def test_constant_series_within_tube(self):
-        hist = one_block_history([4.0] * 25)
-        tube = 0.5
-        pred = fit_svr(hist, lag=3, C=10.0, epsilon_tube=tube, epochs=4000)
-        out = predict_sparsity(pred, np.full((1, 3), 4.0))
-        assert abs(out[0] - 4.0) <= tube + 1e-6
+    def test_negative_epochs_rejected(self):
+        with pytest.raises(ValueError, match="epochs"):
+            fit_gd(one_block_history(np.arange(10.0)), lag=2, epochs=-1)
 
 
 class TestPredictSparsity:
