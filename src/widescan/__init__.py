@@ -13,6 +13,7 @@ from .cooperative import (
     SecondaryUser,
     fuse_votes,
     pool_and_recover,
+    pooled_sensing,
     su_sense,
 )
 from .greedy import solve_assamp, solve_cosamp, solve_omp
@@ -25,11 +26,8 @@ from .measurement import (
     build_reduction,
     coherence,
     compose_sensing,
-    load_reduction,
     make_afe_bank,
     measure,
-    reduction_to_bank,
-    save_reduction,
 )
 from .prediction import (
     OccupancyHistory,
@@ -59,7 +57,6 @@ from .spectrum import (
     average_block_sparsity,
     make_block_partition,
     sample_instance,
-    snr_of,
 )
 
 __version__ = "0.1.0"

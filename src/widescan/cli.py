@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_outputs(cfg, records, summary_unused, artifacts):
+def _write_outputs(cfg, records, artifacts):
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     emit_csv(records, out / "records.csv")
@@ -66,7 +66,7 @@ def main(argv=None) -> int:
             cfg.kind = "timing_table"
             cfg.sweep = ("timing",)
             records, table, checks = timing_table(cfg)
-            out = _write_outputs(cfg, records, None, {})
+            out = _write_outputs(cfg, records, {})
             print(f"timing table ({len(records)} records) -> {out}")
             for row in table:
                 print(
@@ -76,8 +76,8 @@ def main(argv=None) -> int:
             for name, value in checks.items():
                 print(f"  check {name}: {value}")
         else:
-            records, summary, artifacts = run_experiment(cfg)
-            out = _write_outputs(cfg, records, summary, artifacts)
+            records, _, artifacts = run_experiment(cfg)
+            out = _write_outputs(cfg, records, artifacts)
             print(
                 f"{cfg.kind}: {len(records)} records over {len(cfg.sweep)} sweep values "
                 f"x {cfg.trials} trials -> {out}"

@@ -189,23 +189,16 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def apply_overrides(cfg: ExperimentConfig, seed=None, out=None, solvers=None, trials=None):
-    """Apply CLI flag overrides on top of a parsed config."""
+    """Apply CLI flag overrides on top of a parsed config, then revalidate it."""
     if seed is not None:
         cfg.master_seed = int(seed)
     if out is not None:
         cfg.out_dir = str(out)
     if solvers is not None:
-        chosen = tuple(tok.strip() for tok in str(solvers).split(",") if tok.strip())
-        unknown = [s for s in chosen if s not in KNOWN_SOLVERS]
-        if unknown:
-            raise ConfigError(f"unknown solvers {unknown}")
-        if not chosen:
-            raise ConfigError("solver override must name at least one solver")
-        cfg.solvers = chosen
+        cfg.solvers = tuple(tok.strip() for tok in str(solvers).split(",") if tok.strip())
     if trials is not None:
-        if int(trials) < 1:
-            raise ConfigError("trials override must be >= 1")
         cfg.trials = int(trials)
+    cfg.__post_init__()  # the one validation path, as for a parsed config
     return cfg
 
 

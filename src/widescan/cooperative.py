@@ -122,28 +122,37 @@ def su_sense(
     )
 
 
-def pool_and_recover(fc: FusionCenter, contributions, part, weights, epsilon):
+def pooled_sensing(contributions) -> tuple[SensingMatrix, np.ndarray]:
+    """Stack SU reports into one sensing matrix Psi and its measurements y.
+
+    The raw PN rows and accumulations are both scaled by 1/sqrt(rows), which
+    gives the composite reduction matrix unit expected column energy. Rows
+    from different SUs may coincide, so no distinctness check is made.
+    """
+    raw = np.vstack([c.pn_rows for c in contributions])
+    values = np.concatenate([c.values for c in contributions])
+    scale = 1.0 / math.sqrt(raw.shape[0])
+    phi = ReductionMatrix(
+        kind="bernoulli", m=raw.shape[0], n=raw.shape[1], entries=raw * scale, seed=None
+    )
+    psi = SensingMatrix(psi=phi.entries @ inverse_dft_matrix(phi.n), provenance=phi)
+    return psi, values * scale
+
+
+def pool_and_recover(fc: FusionCenter, contributions, part, weights, epsilon, **solver_opts):
     """Ingest contributions; recover once pooled rows reach the budget.
 
     Returns PENDING while the pool is short of target_m rows. Otherwise all
-    pooled rows (including any beyond the budget) are stacked into one
-    composite reduction matrix, normalized to unit expected column energy,
-    and handed to the block-weighted solver.
+    pooled rows (including any beyond the budget) go through pooled_sensing
+    and the block-weighted solver, which gets solver_opts (max_iter, tol).
     """
     for contribution in contributions:
         fc.ingest(contribution)
     if fc.pooled_rows < fc.target_m:
         return PENDING
-    raw = np.vstack([c.pn_rows for c in fc._rows])
-    vals = np.concatenate([c.values for c in fc._rows])
-    total = raw.shape[0]
-    scale = 1.0 / math.sqrt(total)
-    phi = ReductionMatrix(
-        kind="bernoulli", m=total, n=raw.shape[1], entries=raw * scale, seed=None
-    )
-    psi = SensingMatrix(psi=phi.entries @ inverse_dft_matrix(phi.n), provenance=phi)
-    problem = RecoveryProblem(psi=psi, y=vals * scale, epsilon=epsilon, weights=weights)
-    return solve_wlasso(problem, part)
+    psi, y = pooled_sensing(fc._rows)
+    problem = RecoveryProblem(psi=psi, y=y, epsilon=epsilon, weights=weights)
+    return solve_wlasso(problem, part, **solver_opts)
 
 
 def fuse_votes(local_occupancies, quorum: float) -> np.ndarray:

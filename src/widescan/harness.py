@@ -10,7 +10,7 @@ plus kind-specific artifacts such as the cooperative fusion log.
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -19,18 +19,12 @@ from .cooperative import (
     PENDING,
     FusionCenter,
     SecondaryUser,
+    fuse_votes,
     pool_and_recover,
+    pooled_sensing,
     su_sense,
 )
-from .fourier import inverse_dft_matrix
-from .measurement import (
-    ReductionMatrix,
-    SensingMatrix,
-    build_reduction,
-    coherence,
-    compose_sensing,
-    measure,
-)
+from .measurement import build_reduction, coherence, compose_sensing, measure
 from .prediction import (
     OccupancyHistory,
     fit_gd,
@@ -58,22 +52,6 @@ from .spectrum import (
     sample_instance,
 )
 
-RECORD_COLUMNS = (
-    "experiment",
-    "sweep_value",
-    "trial",
-    "seed",
-    "solver",
-    "nmse_paper",
-    "nmse_l2",
-    "miss",
-    "false_alarm",
-    "wall_time",
-    "iterations",
-    "converged",
-    "extra",
-)
-
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -92,6 +70,9 @@ class TrialRecord:
     iterations: int
     converged: bool
     extra: float = math.nan
+
+
+RECORD_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +106,14 @@ def sigma_for_snr(x, n: int, snr_db: float) -> float:
     return float(np.linalg.norm(x)) / (math.sqrt(n) * 10.0 ** (snr_db / 20.0))
 
 
+def _budget(sigma: float, dof: int, delta: float, y) -> float:
+    """Residual budget sigma * sqrt(dof) * (1 + delta), floored at 1e-9 ||y||."""
+    return max(sigma * math.sqrt(dof) * (1.0 + delta), 1e-9 * float(np.linalg.norm(y)))
+
+
 def epsilon_for(sigma: float, m: int, delta: float, y) -> float:
-    """Default residual budget from the expected noise norm (configurable)."""
-    floor = 1e-9 * float(np.linalg.norm(y))
-    return max(sigma * math.sqrt(2 * m) * (1.0 + delta), floor)
+    """Default l1 residual budget from the expected noise norm (configurable)."""
+    return _budget(sigma, 2 * m, delta, y)
 
 
 def greedy_tolerance(sigma: float, n: int, delta: float, y) -> float:
@@ -138,39 +123,29 @@ def greedy_tolerance(sigma: float, n: int, delta: float, y) -> float:
     actually reachable; stopping there keeps the adaptive pursuits from
     growing their supports into the noise.
     """
-    floor = 1e-9 * float(np.linalg.norm(y))
-    return max(sigma * math.sqrt(n) * (1.0 + delta), floor)
+    return _budget(sigma, n, delta, y)
 
 
 def _default_k(kbar_total: float, m: int) -> int:
     return max(1, min(int(round(kbar_total)), m))
 
 
-def _run_solver(name, cfg, psi, y, eps, part, weights, kbar_total, m, greedy_tol=None):
-    if greedy_tol is None:
-        greedy_tol = eps
+def _run_solver(name, cfg, psi, y, eps, part, weights, kbar_total=0.0, greedy_tol=0.0):
+    """Solve one problem with the named solver: every solve goes through here.
+
+    The solvers are looked up by their module-global names at each call, so
+    a wrapper installed on this module's names sees every solve.
+    """
     if name == "lasso":
-        return solve_lasso(
-            RecoveryProblem(psi=psi, y=y, epsilon=eps),
-            max_iter=cfg.max_iter,
-            tol=cfg.tol,
-        )
-    if name == "wlasso":
-        return solve_wlasso(
-            RecoveryProblem(psi=psi, y=y, epsilon=eps, weights=weights),
-            part,
-            max_iter=cfg.max_iter,
-            tol=cfg.tol,
-        )
-    if name == "wlasso_scaled":
-        return solve_wlasso_scaled(
-            RecoveryProblem(psi=psi, y=y, epsilon=eps, weights=weights),
-            part,
-            max_iter=cfg.max_iter,
-            tol=cfg.tol,
-        )
+        problem = RecoveryProblem(psi=psi, y=y, epsilon=eps)
+        return solve_lasso(problem, max_iter=cfg.max_iter, tol=cfg.tol)
+    if name in ("wlasso", "wlasso_scaled"):
+        solver = solve_wlasso if name == "wlasso" else solve_wlasso_scaled
+        problem = RecoveryProblem(psi=psi, y=y, epsilon=eps, weights=weights)
+        return solver(problem, part, max_iter=cfg.max_iter, tol=cfg.tol)
     if name == "bp":
         return solve_bp(psi, y, max_iter=cfg.max_iter, tol=cfg.tol)
+    m = psi.m
     if name == "omp":
         k_max = cfg.omp_k_max or _default_k(kbar_total, m)
         return solve_omp(psi, y, k_max=min(k_max, m), residual_tol=greedy_tol)
@@ -183,11 +158,44 @@ def _run_solver(name, cfg, psi, y, eps, part, weights, kbar_total, m, greedy_tol
     raise ValueError(f"unknown solver {name!r}")
 
 
-def _detection_counts(z_star, occupancy, threshold):
-    detected = decide_occupancy([z_star], threshold)
-    miss = int(np.count_nonzero(occupancy & ~detected))
-    false_alarm = int(np.count_nonzero(~occupancy & detected))
-    return miss, false_alarm
+def _record(cfg, sweep_value, trial, seed, solver, inst, result=None, decision=None,
+            converged=True, extra=math.nan) -> TrialRecord:
+    """The one place a TrialRecord is built.
+
+    With a solver result the estimate is scored against the instance, and
+    its occupancy is decided at the configured threshold unless `decision`
+    is given. Without one, the record has no error, time or iterations and
+    the `converged` given; a bare `decision` is scored for detections, and
+    with no decision either, miss and false alarm are 0.
+    """
+    nmse_paper = nmse_2 = math.nan
+    wall_time, iterations = 0.0, 0
+    if result is not None:
+        if decision is None:
+            decision = decide_occupancy([result.z_star], cfg.energy_threshold)
+        nmse_paper = nmse(result.z_star, inst.x)
+        # The solver's own array: a tracer matches scores to solves by id.
+        nmse_2 = nmse_l2(result.z_star, inst.x)
+        wall_time, iterations, converged = result.wall_time, result.iterations, result.converged
+    miss = false_alarm = 0
+    if decision is not None:
+        miss = int(np.count_nonzero(inst.occupancy & ~decision))
+        false_alarm = int(np.count_nonzero(~inst.occupancy & decision))
+    return TrialRecord(
+        experiment=cfg.kind,
+        sweep_value=str(sweep_value),
+        trial=trial,
+        seed=seed,
+        solver=solver,
+        nmse_paper=nmse_paper,
+        nmse_l2=nmse_2,
+        miss=miss,
+        false_alarm=false_alarm,
+        wall_time=wall_time,
+        iterations=iterations,
+        converged=converged,
+        extra=extra,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -216,21 +224,7 @@ def _recovery_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
             psi = compose_sensing(phi)
             if cfg.kind == "coherence_study":
                 records.append(
-                    TrialRecord(
-                        experiment=cfg.kind,
-                        sweep_value=str(sval),
-                        trial=trial,
-                        seed=rec_seed,
-                        solver="coherence",
-                        nmse_paper=math.nan,
-                        nmse_l2=math.nan,
-                        miss=0,
-                        false_alarm=0,
-                        wall_time=0.0,
-                        iterations=0,
-                        converged=True,
-                        extra=coherence(psi),
-                    )
+                    _record(cfg, sval, trial, rec_seed, "coherence", inst, extra=coherence(psi))
                 )
             sigma = sigma_for_snr(inst.x, cfg.n, snr_db)
             noisy = add_time_noise(inst.r, NoiseModel(sigma), seed=noise_seed)
@@ -238,41 +232,16 @@ def _recovery_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
             eps = epsilon_for(sigma, m, cfg.eps_delta, y)
             gtol = greedy_tolerance(sigma, cfg.n, cfg.eps_delta, y)
             for solver in cfg.solvers:
-                result = _run_solver(
-                    solver, cfg, psi, y, eps, part, weights, kbar_total, m, gtol
-                )
-                miss, fa = _detection_counts(
-                    result.z_star, inst.occupancy, cfg.energy_threshold
-                )
-                records.append(
-                    TrialRecord(
-                        experiment=cfg.kind,
-                        sweep_value=str(sval),
-                        trial=trial,
-                        seed=rec_seed,
-                        solver=solver,
-                        nmse_paper=nmse(result.z_star, inst.x),
-                        nmse_l2=nmse_l2(result.z_star, inst.x),
-                        miss=miss,
-                        false_alarm=fa,
-                        wall_time=result.wall_time,
-                        iterations=result.iterations,
-                        converged=result.converged,
-                    )
-                )
+                result = _run_solver(solver, cfg, psi, y, eps, part, weights, kbar_total, gtol)
+                records.append(_record(cfg, sval, trial, rec_seed, solver, inst, result))
     return records
 
 
 def _timing_records(cfg: ExperimentConfig) -> list[TrialRecord]:
-    inner = ExperimentConfig(**{
-        **{f.name: getattr(cfg, f.name) for f in fields(ExperimentConfig)},
-        "kind": "nmse_vs_snr",
-        "sweep": (repr(cfg.snr_db),),
-    })
-    records = _recovery_sweep(inner)
+    inner = replace(cfg, kind="nmse_vs_snr", sweep=(repr(cfg.snr_db),))
     return [
-        TrialRecord(**{**_record_dict(r), "experiment": "timing_table", "sweep_value": "timing"})
-        for r in records
+        replace(r, experiment="timing_table", sweep_value="timing")
+        for r in _recovery_sweep(inner)
     ]
 
 
@@ -361,31 +330,9 @@ def _miss_cdf(cfg: ExperimentConfig) -> list[TrialRecord]:
             psi = compose_sensing(phi)
             y = measure(phi, noisy)
             eps = epsilon_for(sigma, m_arm, cfg.eps_delta, y)
-            result = solve_wlasso(
-                RecoveryProblem(psi=psi, y=y, epsilon=eps, weights=w_arm),
-                part_t,
-                max_iter=cfg.max_iter,
-                tol=cfg.tol,
-            )
-            miss, fa = _detection_counts(
-                result.z_star, inst.occupancy, cfg.energy_threshold
-            )
+            result = _run_solver("wlasso", cfg, psi, y, eps, part_t, w_arm)
             records.append(
-                TrialRecord(
-                    experiment=cfg.kind,
-                    sweep_value="drift",
-                    trial=t,
-                    seed=rec_seed,
-                    solver=arm,
-                    nmse_paper=nmse(result.z_star, inst.x),
-                    nmse_l2=nmse_l2(result.z_star, inst.x),
-                    miss=miss,
-                    false_alarm=fa,
-                    wall_time=result.wall_time,
-                    iterations=result.iterations,
-                    converged=result.converged,
-                    extra=float(m_arm),
-                )
+                _record(cfg, "drift", t, rec_seed, arm, inst, result, extra=float(m_arm))
             )
         block_counts = np.array(
             [np.count_nonzero(inst.occupancy[s]) for s in part_t.block_slices()],
@@ -397,19 +344,6 @@ def _miss_cdf(cfg: ExperimentConfig) -> list[TrialRecord]:
 
 def _decision_hash(decision: np.ndarray) -> str:
     return hashlib.sha256(decision.astype(np.uint8).tobytes()).hexdigest()[:12]
-
-
-def _su_local_recovery(contribution, part, weights, eps, cfg):
-    rows = contribution.pn_rows.shape[0]
-    scale = 1.0 / math.sqrt(rows)
-    phi = ReductionMatrix(
-        kind="bernoulli", m=rows, n=part.n, entries=contribution.pn_rows * scale, seed=None
-    )
-    psi = SensingMatrix(psi=phi.entries @ inverse_dft_matrix(part.n), provenance=phi)
-    problem = RecoveryProblem(
-        psi=psi, y=contribution.values * scale, epsilon=eps, weights=weights
-    )
-    return solve_wlasso(problem, part, max_iter=cfg.max_iter, tol=cfg.tol)
 
 
 def _cooperative(cfg: ExperimentConfig):
@@ -450,46 +384,17 @@ def _cooperative(cfg: ExperimentConfig):
             fc = FusionCenter(target_m=cfg.m, quorum=cfg.quorum)
             total_rows = sum(c.pn_rows.shape[0] for c in contributions)
             eps = epsilon_for(sigma, max(total_rows, cfg.m), cfg.eps_delta, inst.x)
-            outcome = pool_and_recover(fc, contributions, part, weights, eps)
+            outcome = pool_and_recover(
+                fc, contributions, part, weights, eps, max_iter=cfg.max_iter, tol=cfg.tol
+            )
             if outcome == PENDING:
-                records.append(
-                    TrialRecord(
-                        experiment=cfg.kind,
-                        sweep_value="round",
-                        trial=t,
-                        seed=rec_seed,
-                        solver="fused",
-                        nmse_paper=math.nan,
-                        nmse_l2=math.nan,
-                        miss=inst.k,
-                        false_alarm=0,
-                        wall_time=0.0,
-                        iterations=0,
-                        converged=False,
-                    )
-                )
                 fused = np.zeros(cfg.n, dtype=bool)
+                records.append(_record(cfg, "round", t, rec_seed, "fused", inst,
+                                       decision=fused, converged=False))
             else:
                 fused = decide_occupancy([outcome.z_star], cfg.energy_threshold)
-                miss, fa = _detection_counts(
-                    outcome.z_star, inst.occupancy, cfg.energy_threshold
-                )
-                records.append(
-                    TrialRecord(
-                        experiment=cfg.kind,
-                        sweep_value="round",
-                        trial=t,
-                        seed=rec_seed,
-                        solver="fused",
-                        nmse_paper=nmse(outcome.z_star, inst.x),
-                        nmse_l2=nmse_l2(outcome.z_star, inst.x),
-                        miss=miss,
-                        false_alarm=fa,
-                        wall_time=outcome.wall_time,
-                        iterations=outcome.iterations,
-                        converged=outcome.converged,
-                    )
-                )
+                records.append(_record(cfg, "round", t, rec_seed, "fused", inst, outcome,
+                                       decision=fused))
             for c in contributions:
                 log_lines.append(
                     f"{t},{c.su_id},{c.pn_rows.shape[0]},{_decision_hash(fused)}"
@@ -498,51 +403,16 @@ def _cooperative(cfg: ExperimentConfig):
             locals_occ = []
             for c in contributions:
                 rows = c.pn_rows.shape[0]
+                psi, y = pooled_sensing([c])
                 eps = epsilon_for(sigma, rows, cfg.eps_delta, c.values / math.sqrt(rows))
-                result = _su_local_recovery(c, part, weights, eps, cfg)
+                result = _run_solver("wlasso", cfg, psi, y, eps, part, weights)
                 occ = decide_occupancy([result.z_star], cfg.energy_threshold)
                 locals_occ.append(occ)
-                miss, fa = _detection_counts(
-                    result.z_star, inst.occupancy, cfg.energy_threshold
-                )
-                records.append(
-                    TrialRecord(
-                        experiment=cfg.kind,
-                        sweep_value="round",
-                        trial=t,
-                        seed=rec_seed,
-                        solver=f"su{c.su_id}",
-                        nmse_paper=nmse(result.z_star, inst.x),
-                        nmse_l2=nmse_l2(result.z_star, inst.x),
-                        miss=miss,
-                        false_alarm=fa,
-                        wall_time=result.wall_time,
-                        iterations=result.iterations,
-                        converged=result.converged,
-                    )
-                )
-                log_lines.append(
-                    f"{t},{c.su_id},{rows},{_decision_hash(occ)}"
-                )
-            fused = np.stack(locals_occ).mean(axis=0) >= cfg.quorum
-            miss = int(np.count_nonzero(inst.occupancy & ~fused))
-            fa = int(np.count_nonzero(~inst.occupancy & fused))
-            records.append(
-                TrialRecord(
-                    experiment=cfg.kind,
-                    sweep_value="round",
-                    trial=t,
-                    seed=rec_seed,
-                    solver="fused",
-                    nmse_paper=math.nan,
-                    nmse_l2=math.nan,
-                    miss=miss,
-                    false_alarm=fa,
-                    wall_time=0.0,
-                    iterations=0,
-                    converged=True,
-                )
-            )
+                records.append(_record(cfg, "round", t, rec_seed, f"su{c.su_id}", inst,
+                                       result, decision=occ))
+                log_lines.append(f"{t},{c.su_id},{rows},{_decision_hash(occ)}")
+            fused = fuse_votes(locals_occ, cfg.quorum)
+            records.append(_record(cfg, "round", t, rec_seed, "fused", inst, decision=fused))
     return records, {"fusion_log.csv": log_lines}
 
 
@@ -593,10 +463,6 @@ def _gain_lines(records) -> list[str]:
 # CSV emission
 
 
-def _record_dict(rec: TrialRecord) -> dict:
-    return {f.name: getattr(rec, f.name) for f in fields(TrialRecord)}
-
-
 def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -614,33 +480,20 @@ def emit_csv(records, path):
         writer = csv.writer(fh)
         writer.writerow(RECORD_COLUMNS)
         for rec in records:
-            row = _record_dict(rec)
-            writer.writerow([_format_cell(row[col]) for col in RECORD_COLUMNS])
+            writer.writerow([_format_cell(getattr(rec, col)) for col in RECORD_COLUMNS])
 
 
 def parse_records(path) -> list:
     """Read back a records.csv written by emit_csv."""
-    out = []
+    types = {f.name: f.type for f in fields(TrialRecord)}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                TrialRecord(
-                    experiment=row["experiment"],
-                    sweep_value=row["sweep_value"],
-                    trial=int(row["trial"]),
-                    seed=int(row["seed"]),
-                    solver=row["solver"],
-                    nmse_paper=float(row["nmse_paper"]),
-                    nmse_l2=float(row["nmse_l2"]),
-                    miss=int(row["miss"]),
-                    false_alarm=int(row["false_alarm"]),
-                    wall_time=float(row["wall_time"]),
-                    iterations=int(row["iterations"]),
-                    converged=row["converged"] == "1",
-                    extra=float(row["extra"]),
-                )
-            )
-    return out
+        return [
+            TrialRecord(**{
+                col: cell == "1" if types[col] is bool else types[col](cell)
+                for col, cell in row.items()
+            })
+            for row in csv.DictReader(fh)
+        ]
 
 
 SUMMARY_COLUMNS = (
@@ -672,16 +525,10 @@ def _mean_se(values):
 def summarize(records) -> list[dict]:
     """Per (sweep value, solver) aggregate rows."""
     groups: dict[tuple[str, str], list[TrialRecord]] = {}
-    order: list[tuple[str, str]] = []
     for rec in records:
-        key = (rec.sweep_value, rec.solver)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(rec)
+        groups.setdefault((rec.sweep_value, rec.solver), []).append(rec)
     rows = []
-    for key in order:
-        rows_for = groups[key]
+    for key, rows_for in groups.items():
         mean_p, se_p = _mean_se([r.nmse_paper for r in rows_for])
         mean_l2, se_l2 = _mean_se([r.nmse_l2 for r in rows_for])
         rows.append(

@@ -171,13 +171,6 @@ def bank_to_reduction(bank: AfeBank) -> ReductionMatrix:
     )
 
 
-def reduction_to_bank(phi: ReductionMatrix) -> AfeBank:
-    """Recover the PN bank realizing a Bernoulli reduction matrix."""
-    if phi.kind != "bernoulli":
-        raise ValueError(f"only bernoulli matrices map to a PN bank, got {phi.kind!r}")
-    return AfeBank(pn_sequences=np.sign(phi.entries))
-
-
 def coherence(psi) -> float:
     """Mutual coherence: max normalized inner product between distinct columns."""
     mat = psi.psi if isinstance(psi, SensingMatrix) else np.asarray(psi)
@@ -191,24 +184,3 @@ def coherence(psi) -> float:
     np.fill_diagonal(gram, 0.0)
     return min(float(gram.max()), 1.0)
 
-
-def save_reduction(phi: ReductionMatrix, path):
-    """Write Phi row-major as CSV with a one-line metadata header."""
-    header = f"widescan-reduction kind={phi.kind} m={phi.m} n={phi.n} seed={phi.seed}"
-    np.savetxt(path, phi.entries, delimiter=",", header=header, fmt="%.17g")
-
-
-def load_reduction(path) -> ReductionMatrix:
-    """Read a matrix written by save_reduction."""
-    with open(path) as fh:
-        header = fh.readline().lstrip("# ").strip()
-    fields = dict(tok.split("=", 1) for tok in header.split()[1:])
-    entries = np.loadtxt(path, delimiter=",", ndmin=2)
-    seed = None if fields["seed"] == "None" else int(fields["seed"])
-    return ReductionMatrix(
-        kind=fields["kind"],
-        m=int(fields["m"]),
-        n=int(fields["n"]),
-        entries=entries,
-        seed=seed,
-    )

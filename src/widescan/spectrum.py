@@ -153,14 +153,3 @@ def add_time_noise(r: np.ndarray, noise: NoiseModel, seed=None) -> np.ndarray:
     w = scale * (rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape))
     return r + w
 
-
-def snr_of(x: np.ndarray, noise_realization: np.ndarray) -> float:
-    """Received SNR in dB: signal energy over realized noise energy.
-
-    A zero noise vector yields +inf rather than an error.
-    """
-    noise_energy = float(np.sum(np.abs(noise_realization) ** 2))
-    signal_energy = float(np.sum(np.abs(x) ** 2))
-    if noise_energy == 0.0:
-        return math.inf
-    return 10.0 * math.log10(signal_energy / noise_energy)

@@ -1,4 +1,4 @@
-"""Compare the records two source trees write for every shipped config.
+"""Compare the outputs two source trees write for every shipped config.
 
     python tests/record_diff.py OLD_SRC NEW_SRC [--seed S] [--trials N]
                                 [--config NAME ...]
@@ -8,18 +8,25 @@ OLD_SRC and NEW_SRC are directories holding the `widescan` package (the
 tree through `python -m widescan run` in its own subprocess, with BLAS on one
 thread, at the given master seed (default: the config's own) and trial count;
 `--config NAME` (repeatable, the file stem such as `miss_detect_cdf`) runs only
-the named configs. For each config the report gives the count of records that
-are byte-identical apart from `wall_time`, the max absolute and relative
-difference of every float column and the rows whose `iterations`,
-`converged`, `miss` or `false_alarm` changed, per solver.
+the named configs. Both trees write to the same relative output directory, so
+the config hash in `summary.csv` matches when the configs do.
 
-Exit status: 0 when every run succeeded and only float columns moved, 1 when
-a run failed or the record keys, iterations, convergence flags or detection
-decisions differ. pytest does not collect this file (no `test_` prefix).
+For each config the report gives the count of records that are
+byte-identical apart from `wall_time`, the max absolute and relative
+difference of every float column and the rows whose `iterations`,
+`converged`, `miss` or `false_alarm` changed, per solver. It then compares
+`summary.csv` without `mean_wall_time` and every artifact (`error_gain.csv`,
+`fusion_log.csv`) byte for byte.
+
+Exit status: 0 when every run succeeded and only float columns of
+`records.csv` moved, 1 when a run failed, the record keys, iterations,
+convergence flags or detection decisions differ, or `summary.csv` or an
+artifact differs. pytest does not collect this file (no `test_` prefix).
 """
 
 import argparse
 import csv
+import io
 import math
 import os
 import subprocess
@@ -29,6 +36,9 @@ from collections import Counter
 from pathlib import Path
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+RECORDS = "records.csv"
+# The one column of each file that holds wall time, which no two runs share.
+WALL_COLUMNS = {RECORDS: "wall_time", "summary.csv": "mean_wall_time"}
 KEY_COLUMNS = ("experiment", "sweep_value", "trial", "seed", "solver")
 FLOAT_COLUMNS = ("nmse_paper", "nmse_l2", "extra")
 EXACT_COLUMNS = ("iterations", "converged", "miss", "false_alarm")
@@ -38,20 +48,47 @@ ONE_THREAD = {
 }
 
 
-def run_config(src: Path, config: Path, out: Path, seed, trials) -> list[dict]:
-    """Run one config against one source tree and read back its records."""
-    cmd = [sys.executable, "-m", "widescan", "run", str(config), "--out", str(out)]
+def _drop_column(text: str, column: str) -> str:
+    """CSV text without one column; `#` lines and line endings are kept."""
+    lines = text.split("\n")
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    drop = lines[header].split(",").index(column)
+    return "\n".join(
+        line if i < header or not line
+        else ",".join(cell for j, cell in enumerate(line.split(",")) if j != drop)
+        for i, line in enumerate(lines)
+    )
+
+
+def comparable_outputs(out: Path) -> dict[str, str]:
+    """Every CSV a run wrote, by file name, with its wall-time column removed."""
+    texts = {}
+    for path in sorted(out.glob("*.csv")):
+        text = path.read_bytes().decode()
+        column = WALL_COLUMNS.get(path.name)
+        texts[path.name] = _drop_column(text, column) if column else text
+    return texts
+
+
+def parse_rows(text: str) -> list[dict]:
+    """Records as dicts of strings, from comparable_outputs' records.csv text."""
+    return list(csv.DictReader(io.StringIO(text, newline="")))
+
+
+def run_config(src: Path, config: Path, workdir: Path, seed, trials) -> dict[str, str]:
+    """Run one config against one source tree; comparable_outputs of the run."""
+    workdir.mkdir(parents=True)
+    cmd = [sys.executable, "-m", "widescan", "run", str(config), "--out", config.stem]
     cmd += ["--trials", str(trials)]
     if seed is not None:
         cmd += ["--seed", str(seed)]
-    env = dict(os.environ, PYTHONPATH=str(src), **ONE_THREAD)
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()), **ONE_THREAD)
+    proc = subprocess.run(cmd, env=env, cwd=workdir, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(
             f"{config.name} failed under {src} (exit {proc.returncode}):\n{proc.stderr}"
         )
-    with open(out / "records.csv", newline="") as fh:
-        return list(csv.DictReader(fh))
+    return comparable_outputs(workdir / config.stem)
 
 
 def _rel(a: float, b: float) -> float:
@@ -90,6 +127,17 @@ def compare(old: list[dict], new: list[dict]) -> tuple[list[str], bool]:
     return lines, moved
 
 
+def compare_files(old: dict[str, str], new: dict[str, str]) -> tuple[list[str], bool]:
+    """Report lines for every file but records.csv, and whether any differs."""
+    lines, differs = [], False
+    for name in sorted((old.keys() | new.keys()) - {RECORDS}):
+        same = old.get(name) == new.get(name)
+        differs = differs or not same
+        without = f" without {WALL_COLUMNS[name]}" if name in WALL_COLUMNS else ""
+        lines.append(f"  {name}{without}: {'identical' if same else 'DIFFERS'}")
+    return lines, differs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", type=Path)
@@ -122,9 +170,10 @@ def main(argv=None) -> int:
                 print(f"  {exc}")
                 status = 1
                 continue
-            lines, moved = compare(old, new)
-            print("\n".join(lines))
-            status = max(status, int(moved))
+            lines, moved = compare(parse_rows(old[RECORDS]), parse_rows(new[RECORDS]))
+            file_lines, differs = compare_files(old, new)
+            print("\n".join(lines + file_lines))
+            status = max(status, int(moved or differs))
     return status
 
 

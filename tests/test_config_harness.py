@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from widescan.config import (
+    KNOWN_SOLVERS,
     ConfigError,
     ExperimentConfig,
     apply_overrides,
@@ -95,6 +96,11 @@ class TestConfigParsing:
     def test_bad_override_rejected(self):
         with pytest.raises(ConfigError):
             apply_overrides(small_cfg(), solvers="nope")
+
+    @pytest.mark.parametrize("override", [{"solvers": " , "}, {"trials": 0}])
+    def test_empty_override_rejected(self, override):
+        with pytest.raises(ConfigError):
+            apply_overrides(small_cfg(), **override)
 
     def test_echo_round_trip(self, tmp_path):
         cfg = small_cfg()
@@ -296,6 +302,32 @@ class TestHarnessRuns:
         log = artifacts["fusion_log.csv"]
         assert log[0] == "round,su_id,rows_contributed,decision_hash"
         assert len(log) == 1 + 2 * 3
+
+    def test_pool_mode_honours_solver_settings(self):
+        cfg = small_cfg(
+            kind="cooperative_round",
+            sweep=("round",),
+            trials=2,
+            block_sizes=(10, 30),
+            block_probs=(1.0, 0.05),
+            m=20,
+            su_count=3,
+            su_branches=4,
+            su_scans=5,
+            fusion_mode="pool",
+            max_iter=3,
+        )
+        records, _, _ = run_experiment(cfg)
+        assert len(records) == 2
+        assert all(0 < r.iterations <= 3 for r in records)
+
+    @pytest.mark.parametrize("solver", KNOWN_SOLVERS)
+    def test_every_known_solver_dispatches(self, solver):
+        records, _, _ = run_experiment(small_cfg(trials=1, sweep=("15",), solvers=(solver,)))
+        (rec,) = records
+        assert rec.solver == solver
+        assert rec.iterations > 0
+        assert math.isfinite(rec.nmse_l2)
 
     def test_sigma_for_snr_matches_definition(self):
         x = np.array([3.0, 4.0], dtype=complex)  # norm 5

@@ -12,11 +12,8 @@ from widescan.measurement import (
     build_reduction,
     coherence,
     compose_sensing,
-    load_reduction,
     make_afe_bank,
     measure,
-    reduction_to_bank,
-    save_reduction,
 )
 from widescan.spectrum import NoiseModel, add_time_noise
 
@@ -137,11 +134,6 @@ class TestAfePath:
         with pytest.raises(ValueError):
             AfeBank(pn_sequences=pn)
 
-    def test_round_trip_bank_reduction(self):
-        bank = make_afe_bank(6, 24, seed=2)
-        back = reduction_to_bank(bank_to_reduction(bank))
-        assert np.array_equal(back.pn_sequences, bank.pn_sequences)
-
 
 class TestCoherence:
     def test_orthonormal_columns_zero(self):
@@ -170,17 +162,6 @@ class TestCoherence:
             )
             wins += g < c
         assert wins >= 40
-
-
-class TestSaveLoad:
-    def test_round_trip(self, tmp_path):
-        phi = build_reduction("circulant", 6, 30, seed=77)
-        path = tmp_path / "phi.csv"
-        save_reduction(phi, path)
-        back = load_reduction(path)
-        assert back.kind == phi.kind and back.m == phi.m and back.n == phi.n
-        assert back.seed == 77
-        assert np.allclose(back.entries, phi.entries, atol=0, rtol=0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -13,7 +13,6 @@ from widescan.spectrum import (
     average_block_sparsity,
     make_block_partition,
     sample_instance,
-    snr_of,
 )
 
 
@@ -120,26 +119,6 @@ class TestAddTimeNoise:
         a = add_time_noise(r, NoiseModel(0.5), seed=42)
         b = add_time_noise(r, NoiseModel(0.5), seed=42)
         assert np.array_equal(a, b)
-
-
-class TestSnr:
-    def test_ten_db(self):
-        x = np.array([math.sqrt(10), 0], dtype=complex)
-        eta = np.array([1.0, 0], dtype=complex)
-        assert abs(snr_of(x, eta) - 10.0) < 1e-12
-
-    def test_zero_db(self):
-        x = np.array([1.0, 1.0], dtype=complex)
-        assert abs(snr_of(x, x)) < 1e-12
-
-    def test_seven_db_operating_point(self):
-        # oracle: 10**0.7 = 5.0119; the stated ratio 5.0117 lands at ~7 dB
-        eta = np.array([1.0], dtype=complex)
-        x = np.array([math.sqrt(5.0117)], dtype=complex)
-        assert abs(snr_of(x, eta) - 7.0) < 1e-3
-
-    def test_zero_noise_reports_infinite(self):
-        assert snr_of(np.ones(4, complex), np.zeros(4, complex)) == math.inf
 
 
 @settings(max_examples=40, deadline=None)
