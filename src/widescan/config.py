@@ -7,6 +7,7 @@ minimal files stay short. Unknown keys are rejected to catch typos early.
 
 import configparser
 import hashlib
+import math
 from dataclasses import asdict, dataclass, field
 
 EXPERIMENT_KINDS = (
@@ -103,6 +104,20 @@ class ExperimentConfig:
             raise ConfigError(f"fusion_mode must be 'vote' or 'pool', got {self.fusion_mode!r}")
         if self.drift_probs_end and len(self.drift_probs_end) != len(self.block_sizes):
             raise ConfigError("drift_probs_end must match the number of blocks")
+        if self.max_iter < 1:
+            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tol must be finite and positive, got {self.tol}")
+        snrs = (self.snr_db,) + (self.sweep if self.kind == "nmse_vs_snr" else ())
+        if not all(_is_snr(s) for s in snrs):
+            raise ConfigError(f"SNRs must be numbers in dB or +inf, got {snrs}")
+
+
+def _is_snr(value) -> bool:
+    try:
+        return float(value) > -math.inf  # NaN and -inf fail; +inf is noise-free
+    except ValueError:
+        return False
 
 
 _SECTION_FIELDS = {

@@ -2,13 +2,16 @@
 
 Each secondary user sees its own faded copy of the spectrum (per-band power
 gains model distance and shadowing), mixes it through a private PN bank of
-branches * scans rows, and reports raw rows plus accumulations. The fusion
-center either pools rows until the measurement budget is met and recovers
-once, or fuses per-user occupancy decisions by quorum voting.
+branches * scans rows, and reports raw rows plus accumulations. The bank is
+hardware, fixed per device: it is drawn once from the SU's seed, and every
+round reuses it. The fusion center either pools rows until the measurement
+budget is met and recovers once, or fuses per-user occupancy decisions by
+quorum voting.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +47,11 @@ class SecondaryUser:
     @property
     def rows_per_round(self) -> int:
         return self.branches * self.scans
+
+    @cached_property
+    def bank(self):
+        """The SU's PN bank (rows_per_round x n), drawn once from its seed."""
+        return make_afe_bank(self.rows_per_round, self.channel_gains.shape[0], seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -103,7 +111,7 @@ def su_sense(
 
     The SU receives the global band vector scaled by the square root of its
     per-band power gains, resamples it in time, adds its own noise draw, and
-    pushes it through its seeded PN bank (branches * scans rows). Values are
+    pushes it through its fixed PN bank (branches * scans rows). Values are
     raw accumulations; normalization happens when rows are pooled.
     """
     n = instance.x.shape[0]
@@ -113,7 +121,7 @@ def su_sense(
         )
     x_seen = np.sqrt(su.channel_gains) * instance.x
     r_seen = add_time_noise(freq_to_time(x_seen), noise, seed=noise_seed)
-    bank = make_afe_bank(su.rows_per_round, n, seed=su.seed)
+    bank = su.bank
     return Contribution(
         su_id=su.su_id,
         seed=su.seed,

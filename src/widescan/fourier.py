@@ -5,6 +5,8 @@ and time representations carry the same energy (Parseval) and sensing-matrix
 column norms stay scale-free.
 """
 
+import functools
+
 import numpy as np
 
 
@@ -19,7 +21,15 @@ def time_to_freq(r: np.ndarray) -> np.ndarray:
 
 
 def inverse_dft_matrix(n: int) -> np.ndarray:
-    """Dense n-by-n unitary inverse-DFT basis (column b synthesizes band b)."""
+    """Dense n-by-n unitary inverse-DFT basis (column b synthesizes band b),
+    built once per n and shared read-only."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    return np.fft.ifft(np.eye(n), axis=0, norm="ortho")
+    return _inverse_dft_matrix(n)
+
+
+@functools.cache
+def _inverse_dft_matrix(n: int) -> np.ndarray:
+    basis = np.fft.ifft(np.eye(n), axis=0, norm="ortho")
+    basis.flags.writeable = False
+    return basis

@@ -33,6 +33,7 @@ from .prediction import (
 )
 from .recovery import (
     RecoveryProblem,
+    SvdFactor,
     decide_occupancy,
     design_weights,
     error_gain,
@@ -130,19 +131,22 @@ def _default_k(kbar_total: float, m: int) -> int:
     return max(1, min(int(round(kbar_total)), m))
 
 
-def _run_solver(name, cfg, psi, y, eps, part, weights, kbar_total=0.0, greedy_tol=0.0):
+def _run_solver(name, cfg, psi, y, eps, part, weights, kbar_total=0.0, greedy_tol=0.0,
+                factor=None):
     """Solve one problem with the named solver: every solve goes through here.
 
     The solvers are looked up by their module-global names at each call, so
-    a wrapper installed on this module's names sees every solve.
+    a wrapper installed on this module's names sees every solve. A given
+    SvdFactor of psi goes to wlasso (None: the solve builds its own).
     """
     if name == "lasso":
         problem = RecoveryProblem(psi=psi, y=y, epsilon=eps)
         return solve_lasso(problem, max_iter=cfg.max_iter, tol=cfg.tol)
     if name in ("wlasso", "wlasso_scaled"):
-        solver = solve_wlasso if name == "wlasso" else solve_wlasso_scaled
         problem = RecoveryProblem(psi=psi, y=y, epsilon=eps, weights=weights)
-        return solver(problem, part, max_iter=cfg.max_iter, tol=cfg.tol)
+        if name == "wlasso_scaled":  # solves on a rescaled Psi, so builds its own
+            return solve_wlasso_scaled(problem, part, max_iter=cfg.max_iter, tol=cfg.tol)
+        return solve_wlasso(problem, part, max_iter=cfg.max_iter, tol=cfg.tol, factor=factor)
     if name == "bp":
         return solve_bp(psi, y, max_iter=cfg.max_iter, tol=cfg.tol)
     m = psi.m
@@ -355,20 +359,12 @@ def _cooperative(cfg: ExperimentConfig):
         gains = np.ones(cfg.n)
         if j == cfg.shadow_su and 0 <= cfg.shadow_band < cfg.n:
             gains[cfg.shadow_band] = 10.0 ** (-cfg.shadow_db / 10.0)
-        su_seed = int(
-            np.random.SeedSequence(entropy=(cfg.master_seed, 777, j)).generate_state(1)[0]
-        )
-        sus.append(
-            SecondaryUser(
-                su_id=j,
-                branches=cfg.su_branches,
-                scans=cfg.su_scans,
-                channel_gains=gains,
-                seed=su_seed,
-            )
-        )
+        seed = int(np.random.SeedSequence(entropy=(cfg.master_seed, 777, j)).generate_state(1)[0])
+        sus.append(SecondaryUser(su_id=j, branches=cfg.su_branches, scans=cfg.su_scans,
+                                 channel_gains=gains, seed=seed))
 
     records = []
+    factors = {}  # su_id -> SvdFactor of the SU's Psi, for vote fusion
     log_lines = ["round,su_id,rows_contributed,decision_hash"]
     for t in range(cfg.trials):
         rec_seed, inst_seed, _, noise_base = _trial_seeds(cfg.master_seed, 0, t)
@@ -399,13 +395,16 @@ def _cooperative(cfg: ExperimentConfig):
                 log_lines.append(
                     f"{t},{c.su_id},{c.pn_rows.shape[0]},{_decision_hash(fused)}"
                 )
-        else:  # vote
+        else:  # vote: an SU's Psi is fixed with its bank, so is its SVD factor
             locals_occ = []
             for c in contributions:
                 rows = c.pn_rows.shape[0]
                 psi, y = pooled_sensing([c])
+                if c.su_id not in factors:
+                    factors[c.su_id] = SvdFactor(psi.psi)
                 eps = epsilon_for(sigma, rows, cfg.eps_delta, c.values / math.sqrt(rows))
-                result = _run_solver("wlasso", cfg, psi, y, eps, part, weights)
+                result = _run_solver("wlasso", cfg, psi, y, eps, part, weights,
+                                     factor=factors[c.su_id])
                 occ = decide_occupancy([result.z_star], cfg.energy_threshold)
                 locals_occ.append(occ)
                 records.append(_record(cfg, "round", t, rec_seed, f"su{c.su_id}", inst,

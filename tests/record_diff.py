@@ -13,8 +13,9 @@ the config hash in `summary.csv` matches when the configs do.
 
 For each config the report gives the count of records that are
 byte-identical apart from `wall_time`, the max absolute and relative
-difference of every float column and the rows whose `iterations`,
-`converged`, `miss` or `false_alarm` changed, per solver. It then compares
+difference of every float column, the rows whose `iterations`,
+`converged`, `miss` or `false_alarm` changed, per solver, and each solver's
+mean `iterations` in the old and the new tree. It then compares
 `summary.csv` without `mean_wall_time` and every artifact (`error_gain.csv`,
 `fusion_log.csv`) byte for byte.
 
@@ -124,7 +125,23 @@ def compare(old: list[dict], new: list[dict]) -> tuple[list[str], bool]:
         moved = moved or bool(changed)
         detail = "".join(f", {s}: {c}" for s, c in sorted(changed.items()))
         lines.append(f"  {col:11s} {sum(changed.values())} rows changed{detail}")
+    lines += [
+        f"  mean iterations {solver}: {old_mean:.1f} -> {new_mean:.1f}"
+        for solver, old_mean, new_mean in mean_iterations(old, new)
+    ]
     return lines, moved
+
+
+def mean_iterations(old: list[dict], new: list[dict]) -> list[tuple[str, float, float]]:
+    """(solver, old mean, new mean) of `iterations` for every solver that iterates."""
+    by_solver: dict[str, list[tuple[int, int]]] = {}
+    for o, n in zip(old, new):
+        by_solver.setdefault(n["solver"], []).append((int(o["iterations"]), int(n["iterations"])))
+    return [
+        (solver, sum(a for a, _ in pairs) / len(pairs), sum(b for _, b in pairs) / len(pairs))
+        for solver, pairs in sorted(by_solver.items())
+        if any(a or b for a, b in pairs)
+    ]
 
 
 def compare_files(old: dict[str, str], new: dict[str, str]) -> tuple[list[str], bool]:

@@ -102,6 +102,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             apply_overrides(small_cfg(), **override)
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"snr_db": math.nan},
+            {"snr_db": -math.inf},
+            {"sweep": ("5", "nan")},
+            {"sweep": ("-inf", "15")},
+            {"max_iter": 0},
+            {"tol": -1.0},
+            {"tol": math.nan},
+        ],
+        ids=["nan_snr", "minus_inf_snr", "nan_in_sweep", "minus_inf_in_sweep",
+             "zero_max_iter", "negative_tol", "nan_tol"],
+    )
+    def test_bad_numeric_input_rejected(self, override):
+        with pytest.raises(ConfigError):
+            small_cfg(**override)
+
+    def test_noise_free_snr_allowed(self):
+        assert small_cfg(snr_db=math.inf, sweep=("inf",)).snr_db == math.inf
+
     def test_echo_round_trip(self, tmp_path):
         cfg = small_cfg()
         path = tmp_path / "echo.ini"
@@ -302,6 +323,55 @@ class TestHarnessRuns:
         log = artifacts["fusion_log.csv"]
         assert log[0] == "round,su_id,rows_contributed,decision_hash"
         assert len(log) == 1 + 2 * 3
+
+    def test_vote_rounds_draw_each_bank_and_factor_once(self, monkeypatch):
+        import widescan.cooperative as cooperative
+        import widescan.harness as harness
+        import widescan.recovery as recovery
+
+        banks, factors = [], []
+        make_afe_bank = cooperative.make_afe_bank
+
+        def spy_bank(m, n, seed=None):
+            banks.append(seed)
+            return make_afe_bank(m, n, seed=seed)
+
+        class SpyFactor(recovery.SvdFactor):
+            def __init__(self, a_mat):
+                factors.append(a_mat.shape)
+                super().__init__(a_mat)
+
+        monkeypatch.setattr(cooperative, "make_afe_bank", spy_bank)
+        monkeypatch.setattr(recovery, "SvdFactor", SpyFactor)
+        monkeypatch.setattr(harness, "SvdFactor", SpyFactor)
+        cfg = small_cfg(
+            kind="cooperative_round", sweep=("round",), trials=4, n=40,
+            block_sizes=(10, 30), block_probs=(1.0, 0.05), m=20,
+            su_count=3, su_branches=4, su_scans=5, solvers=("wlasso",),
+        )
+        records, _, _ = run_experiment(cfg)
+        assert sum(r.solver.startswith("su") for r in records) == 12
+        assert len(banks) == len(set(banks)) == 3
+        assert factors == [(20, 40)] * 3
+
+    @pytest.mark.parametrize("kind", ["nmse_vs_snr", "timing_table"])
+    def test_sweeps_build_one_factor_per_solve(self, monkeypatch, kind):
+        # lasso and wlasso share each Psi; sharing the factor too would make
+        # wlasso look cheaper in the timing table (criterion 08's ratio)
+        import widescan.recovery as recovery
+
+        built = []
+
+        class SpyFactor(recovery.SvdFactor):
+            def __init__(self, a_mat):
+                built.append(a_mat.shape)
+                super().__init__(a_mat)
+
+        monkeypatch.setattr(recovery, "SvdFactor", SpyFactor)
+        cfg = small_cfg(kind=kind, sweep=("15",) if kind == "nmse_vs_snr" else ("timing",),
+                        solvers=("lasso", "wlasso"), trials=2)
+        records = timing_table(cfg)[0] if kind == "timing_table" else run_experiment(cfg)[0]
+        assert len(records) == len(built) == 4
 
     def test_pool_mode_honours_solver_settings(self):
         cfg = small_cfg(

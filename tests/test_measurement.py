@@ -51,6 +51,13 @@ class TestBuildReduction:
         assert np.array_equal(a.entries, b.entries)
 
 
+def test_inverse_dft_matrix_is_built_once_and_read_only():
+    basis = inverse_dft_matrix(16)
+    assert inverse_dft_matrix(16) is basis
+    assert not basis.flags.writeable
+    assert np.array_equal(basis, np.fft.ifft(np.eye(16), axis=0, norm="ortho"))
+
+
 class TestComposeSensing:
     def test_identity_reduction_gives_unitary_psi(self):
         n = 16

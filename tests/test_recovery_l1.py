@@ -9,6 +9,7 @@ from tests.conftest import gaussian_sensing, sparse_signal
 from widescan.measurement import ReductionMatrix, compose_sensing
 from widescan.recovery import (
     RecoveryProblem,
+    SvdFactor,
     _BallProjection,
     design_weights,
     solve_bp,
@@ -74,6 +75,12 @@ class TestProblemValidation:
         psi = gaussian_sensing(4, 8, seed=0)
         with pytest.raises(ValueError):
             RecoveryProblem(psi=psi, y=np.zeros(4), epsilon=-1.0)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected(self, eps):
+        psi = gaussian_sensing(4, 8, seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            RecoveryProblem(psi=psi, y=np.zeros(4), epsilon=eps)
 
     def test_weights_must_sum_to_one(self):
         psi = gaussian_sensing(4, 8, seed=0)
@@ -307,6 +314,24 @@ class TestBallProjection:
         got = proj.project(self.a[:8], 0.5)
         expected = self.a[:8] + np.linalg.pinv(a_mat) @ (y - a_mat @ self.a[:8])
         assert np.allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def test_reused_factor_solves_bitwise_like_a_fresh_one():
+    # one fixed Psi measured over several rounds, as a vote-fusion SU is: the
+    # shared factor carries nothing (no multiplier warm start) between rounds
+    rng = np.random.default_rng(21)
+    psi = gaussian_sensing(12, 30, seed=21)
+    part = make_block_partition(30, [10, 10, 10], [0.3, 0.1, 0.05])
+    w = design_weights([3.0, 1.0, 0.5])
+    shared = SvdFactor(psi.psi)
+    for _ in range(4):
+        x, _ = sparse_signal(30, 3, rng)
+        y = psi.psi @ x + 0.05 * (rng.standard_normal(12) + 1j * rng.standard_normal(12))
+        problem = RecoveryProblem(psi=psi, y=y, epsilon=0.3, weights=w)
+        fresh = solve_wlasso(problem, part)
+        reused = solve_wlasso(problem, part, factor=shared)
+        assert reused.z_star.tobytes() == fresh.z_star.tobytes()
+        assert (reused.iterations, reused.converged) == (fresh.iterations, fresh.converged)
 
 
 class TestBasisPursuit:
