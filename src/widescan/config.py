@@ -8,16 +8,7 @@ minimal files stay short. Unknown keys are rejected to catch typos early.
 import configparser
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field
-
-EXPERIMENT_KINDS = (
-    "nmse_vs_snr",
-    "error_gain_vs_m",
-    "miss_detect_cdf",
-    "timing_table",
-    "coherence_study",
-    "cooperative_round",
-)
+from dataclasses import asdict, dataclass, field, fields
 
 KNOWN_SOLVERS = ("lasso", "wlasso", "wlasso_scaled", "bp", "omp", "cosamp", "assamp")
 
@@ -29,6 +20,9 @@ _DEFAULT_SWEEPS = {
     "miss_detect_cdf": ("drift",),
     "cooperative_round": ("round",),
 }
+EXPERIMENT_KINDS = tuple(_DEFAULT_SWEEPS)
+# Kinds whose sweep is a fixed label: a given [sweep] values must be it.
+_FIXED_SWEEP_KINDS = ("timing_table", "miss_detect_cdf", "cooperative_round")
 
 
 class ConfigError(ValueError):
@@ -85,10 +79,12 @@ class ExperimentConfig:
             )
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.kind == "miss_detect_cdf" and self.trials <= self.lag + 1:
+            raise ConfigError(f"need more windows than lag+1={self.lag + 1}, got {self.trials}")
         if not self.sweep:
             self.sweep = _DEFAULT_SWEEPS[self.kind]
-        if not self.sweep:
-            raise ConfigError("sweep values must be non-empty")
+        if self.kind in _FIXED_SWEEP_KINDS and self.sweep != _DEFAULT_SWEEPS[self.kind]:
+            raise ConfigError(f"{self.kind} takes no sweep values, got {self.sweep}")
         unknown = [s for s in self.solvers if s not in KNOWN_SOLVERS]
         if unknown:
             raise ConfigError(f"unknown solvers {unknown}; expected among {KNOWN_SOLVERS}")
@@ -111,6 +107,15 @@ class ExperimentConfig:
         snrs = (self.snr_db,) + (self.sweep if self.kind == "nmse_vs_snr" else ())
         if not all(_is_snr(s) for s in snrs):
             raise ConfigError(f"SNRs must be numbers in dB or +inf, got {snrs}")
+        if not math.isfinite(self.shadow_db):
+            raise ConfigError(f"shadow_db must be finite, got {self.shadow_db}")
+        if not self.eps_delta > -1:  # NaN fails too
+            raise ConfigError(f"eps_delta must be a number above -1, got {self.eps_delta}")
+        if not self.energy_threshold > 0:
+            raise ConfigError(f"energy_threshold must be positive, got {self.energy_threshold}")
+
+
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def _is_snr(value) -> bool:
@@ -152,30 +157,18 @@ _SECTION_FIELDS = {
 _KEY_ALIASES = {"values": "sweep", "names": "solvers"}
 
 
-_INT_KEYS = {
-    "trials", "master_seed", "n", "m", "max_iter", "omp_k_max", "cosamp_k",
-    "assamp_step", "su_count", "su_branches", "su_scans", "shadow_su",
-    "shadow_band", "lag",
-}
-_FLOAT_KEYS = {
-    "snr_db", "eps_delta", "tol", "energy_threshold", "shadow_db", "quorum",
-    "m_rule_c",
+# Element type of each tuple field; scalar fields coerce to their annotation.
+_TUPLE_ITEMS = {
+    "sweep": str, "solvers": str, "block_sizes": int, "block_probs": float,
+    "drift_probs_end": float,
 }
 
 
 def _coerce(name: str, raw: str):
     raw = raw.strip()
-    if name in ("sweep", "solvers"):
-        return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-    if name == "block_sizes":
-        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    if name in ("block_probs", "drift_probs_end"):
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    if name in _INT_KEYS:
-        return int(raw)
-    if name in _FLOAT_KEYS:
-        return float(raw)
-    return raw
+    if name in _TUPLE_ITEMS:
+        return tuple(_TUPLE_ITEMS[name](tok.strip()) for tok in raw.split(",") if tok.strip())
+    return _FIELD_TYPES[name](raw)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -210,7 +203,7 @@ def apply_overrides(cfg: ExperimentConfig, seed=None, out=None, solvers=None, tr
     if out is not None:
         cfg.out_dir = str(out)
     if solvers is not None:
-        cfg.solvers = tuple(tok.strip() for tok in str(solvers).split(",") if tok.strip())
+        cfg.solvers = _coerce("solvers", str(solvers))
     if trials is not None:
         cfg.trials = int(trials)
     cfg.__post_init__()  # the one validation path, as for a parsed config

@@ -39,8 +39,8 @@ class SecondaryUser:
         if self.scans < 1:
             raise ValueError(f"scans must be >= 1, got {self.scans}")
         gains = np.array(self.channel_gains, dtype=float)
-        if np.any(gains < 0):
-            raise ValueError("channel gains must be non-negative")
+        if not np.all(np.isfinite(gains) & (gains >= 0)):
+            raise ValueError("channel gains must be finite and non-negative")
         gains.flags.writeable = False
         object.__setattr__(self, "channel_gains", gains)
 

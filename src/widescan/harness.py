@@ -1,10 +1,12 @@
 """Seeded Monte Carlo experiment runner with CSV emission.
 
-Every trial derives its own seeds from (master seed, sweep index, trial
-index), so records are reproducible row-by-row regardless of execution
-order. Output files: records.csv (one row per trial per solver),
-summary.csv (aggregates with config hash and master seed in the header),
-plus kind-specific artifacts such as the cooperative fusion log.
+Every kind plans independent units of work (a sweep trial, a drift window
+or a cooperative round) and run_experiment runs them in one loop. A unit's
+draws are seeded from (master seed, sweep index, trial index), so records
+are reproducible row-by-row regardless of execution order. Output
+files: records.csv (one row per trial per solver), summary.csv (aggregates
+with config hash and master seed in the header), plus kind-specific
+artifacts such as the cooperative fusion log.
 """
 
 import csv
@@ -203,73 +205,233 @@ def _record(cfg, sweep_value, trial, seed, solver, inst, result=None, decision=N
 
 
 # ---------------------------------------------------------------------------
-# Experiment kinds
+# Units of work
+#
+# Each kind plans independent units of work in record order: a (sweep point,
+# trial), a drift window or a cooperative round. A unit is a module-level
+# function and its plain data arguments; it returns (records, fusion-log
+# lines) and reads no other unit's output, so any run order gives the same
+# records once they are put back in plan order.
 
 
-def _recovery_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
+def _sweep_trial(cfg: ExperimentConfig, part, weights, kbar_total, sweep_idx, trial):
+    """Every configured solver on one trial's instance of one sweep point."""
+    sval = cfg.sweep[sweep_idx]
+    m, snr_db, mat_kind = cfg.m, cfg.snr_db, cfg.matrix_kind  # timing_table's one point
+    if cfg.kind == "error_gain_vs_m":
+        m = int(sval)
+    elif cfg.kind == "coherence_study":
+        mat_kind = str(sval)
+    elif cfg.kind == "nmse_vs_snr":
+        snr_db = float(sval)
+    rec_seed, inst_seed, mat_seed, noise_seed = _trial_seeds(cfg.master_seed, sweep_idx, trial)
+    inst = _sample_occupied(part, cfg.amplitude, inst_seed)
+    phi = build_reduction(mat_kind, m, cfg.n, seed=mat_seed)
+    psi = compose_sensing(phi)
+    records = []
+    if cfg.kind == "coherence_study":
+        records.append(_record(cfg, sval, trial, rec_seed, "coherence", inst, extra=coherence(psi)))
+    sigma = sigma_for_snr(inst.x, cfg.n, snr_db)
+    noisy = add_time_noise(inst.r, NoiseModel(sigma), seed=noise_seed)
+    y = measure(phi, noisy)
+    eps = epsilon_for(sigma, m, cfg.eps_delta, y)
+    gtol = greedy_tolerance(sigma, cfg.n, cfg.eps_delta, y)
+    for solver in cfg.solvers:
+        result = _run_solver(solver, cfg, psi, y, eps, part, weights, kbar_total, gtol)
+        records.append(_record(cfg, sval, trial, rec_seed, solver, inst, result))
+    return records, []
+
+
+def _plan_sweep(cfg: ExperimentConfig):
     part = make_block_partition(cfg.n, cfg.block_sizes, cfg.block_probs)
     kbar = average_block_sparsity(part)
     weights = design_weights(kbar)
     kbar_total = float(kbar.sum())
-    records = []
-    for sweep_idx, sval in enumerate(cfg.sweep):
-        if cfg.kind == "error_gain_vs_m":
-            m, snr_db, mat_kind = int(sval), cfg.snr_db, cfg.matrix_kind
-        elif cfg.kind == "coherence_study":
-            m, snr_db, mat_kind = cfg.m, cfg.snr_db, str(sval)
-        else:  # nmse_vs_snr
-            m, snr_db, mat_kind = cfg.m, float(sval), cfg.matrix_kind
+    for sweep_idx in range(len(cfg.sweep)):
         for trial in range(cfg.trials):
-            rec_seed, inst_seed, mat_seed, noise_seed = _trial_seeds(
-                cfg.master_seed, sweep_idx, trial
+            yield _sweep_trial, (cfg, part, weights, kbar_total, sweep_idx, trial)
+
+
+def _drift_window(cfg: ExperimentConfig, part, inst, window, seeds, arms):
+    """One drift window: one noise draw, then one solve per (arm, m, weights)."""
+    rec_seed, _, mat_seed, noise_seed = seeds
+    sigma = sigma_for_snr(inst.x, cfg.n, cfg.snr_db)
+    noisy = add_time_noise(inst.r, NoiseModel(sigma), seed=noise_seed)
+    records = []
+    for arm, m_arm, w_arm in arms:
+        phi = build_reduction(cfg.matrix_kind, m_arm, cfg.n, seed=mat_seed)
+        psi = compose_sensing(phi)
+        y = measure(phi, noisy)
+        eps = epsilon_for(sigma, m_arm, cfg.eps_delta, y)
+        result = _run_solver("wlasso", cfg, psi, y, eps, part, w_arm)
+        records.append(_record(cfg, "drift", window, rec_seed, arm, inst, result,
+                               extra=float(m_arm)))
+    return records, []
+
+
+def _plan_drift(cfg: ExperimentConfig):
+    """Drifting occupancy: forecast-driven budget vs a stale fixed budget.
+
+    A window's forecast reads only the true block counts of earlier windows'
+    instances, and an instance depends only on (master seed, window), so no
+    solve feeds the forecast. This is a generator: only the window being run
+    is alive.
+    """
+    probs_start = np.asarray(cfg.block_probs, dtype=float)
+    probs_end = np.asarray(cfg.drift_probs_end or np.minimum(probs_start * 3.0, 0.9), dtype=float)
+    T = cfg.trials  # more than lag + 1 windows, as the config checks
+    kbar0 = probs_start * np.asarray(cfg.block_sizes, dtype=float)
+    k0 = float(np.clip(kbar0.sum(), 1.0, cfg.n - 1))
+    stale = ("stale_m", required_measurements(k0, cfg.n, cfg.m_rule_c), design_weights(kbar0))
+
+    history_rows: list[np.ndarray] = []
+    for t in range(T):
+        frac = t / (T - 1)
+        probs_t = (1 - frac) * probs_start + frac * probs_end
+        part_t = make_block_partition(cfg.n, cfg.block_sizes, tuple(probs_t))
+        seeds = _trial_seeds(cfg.master_seed, 0, t)
+        inst = _sample_occupied(part_t, cfg.amplitude, seeds[1])
+        if len(history_rows) > cfg.lag:
+            history = OccupancyHistory(counts=np.stack(history_rows), block_sizes=cfg.block_sizes)
+            predictor = fit_gd(history, lag=cfg.lag)
+            recent = np.stack(history_rows[-cfg.lag:]).T
+            k_hat = predict_sparsity(predictor, recent)
+            m_pred = required_measurements(
+                float(np.clip(k_hat.sum(), 1.0, cfg.n - 1)), cfg.n, cfg.m_rule_c
             )
-            inst = _sample_occupied(part, cfg.amplitude, inst_seed)
-            phi = build_reduction(mat_kind, m, cfg.n, seed=mat_seed)
-            psi = compose_sensing(phi)
-            if cfg.kind == "coherence_study":
-                records.append(
-                    _record(cfg, sval, trial, rec_seed, "coherence", inst, extra=coherence(psi))
-                )
-            sigma = sigma_for_snr(inst.x, cfg.n, snr_db)
-            noisy = add_time_noise(inst.r, NoiseModel(sigma), seed=noise_seed)
-            y = measure(phi, noisy)
-            eps = epsilon_for(sigma, m, cfg.eps_delta, y)
-            gtol = greedy_tolerance(sigma, cfg.n, cfg.eps_delta, y)
-            for solver in cfg.solvers:
-                result = _run_solver(solver, cfg, psi, y, eps, part, weights, kbar_total, gtol)
-                records.append(_record(cfg, sval, trial, rec_seed, solver, inst, result))
-    return records
+            predicted = ("predicted_m", m_pred, design_weights(k_hat))
+        else:
+            predicted = ("predicted_m",) + stale[1:]
+        history_rows.append(np.array(
+            [np.count_nonzero(inst.occupancy[s]) for s in part_t.block_slices()],
+            dtype=float,
+        ))
+        yield _drift_window, (cfg, part_t, inst, t, seeds, (predicted, stale))
 
 
-def _timing_records(cfg: ExperimentConfig) -> list[TrialRecord]:
-    inner = replace(cfg, kind="nmse_vs_snr", sweep=(repr(cfg.snr_db),))
-    return [
-        replace(r, experiment="timing_table", sweep_value="timing")
-        for r in _recovery_sweep(inner)
-    ]
+def _decision_hash(decision: np.ndarray) -> str:
+    return hashlib.sha256(decision.astype(np.uint8).tobytes()).hexdigest()[:12]
+
+
+def _sense_round(cfg: ExperimentConfig, part, sus, t):
+    """(record seed, instance, sigma, every SU's contribution) of round t."""
+    rec_seed, inst_seed, _, noise_base = _trial_seeds(cfg.master_seed, 0, t)
+    inst = _sample_occupied(part, cfg.amplitude, inst_seed)
+    sigma = sigma_for_snr(inst.x, cfg.n, cfg.snr_db)
+    noise = NoiseModel(sigma)
+    contributions = [su_sense(su, inst, noise, noise_seed=(noise_base + j) % (2**63))
+                     for j, su in enumerate(sus)]
+    return rec_seed, inst, sigma, contributions
+
+
+def _pool_round(cfg: ExperimentConfig, part, weights, sus, t):
+    """One round of pooled measurements, recovered once at the fusion center."""
+    rec_seed, inst, sigma, contributions = _sense_round(cfg, part, sus, t)
+    fc = FusionCenter(target_m=cfg.m, quorum=cfg.quorum)
+    total_rows = sum(c.pn_rows.shape[0] for c in contributions)
+    eps = epsilon_for(sigma, max(total_rows, cfg.m), cfg.eps_delta, inst.x)
+    outcome = pool_and_recover(fc, contributions, part, weights, eps,
+                               max_iter=cfg.max_iter, tol=cfg.tol)
+    if outcome == PENDING:
+        fused = np.zeros(cfg.n, dtype=bool)
+        record = _record(cfg, "round", t, rec_seed, "fused", inst, decision=fused,
+                         converged=False)
+    else:
+        fused = decide_occupancy([outcome.z_star], cfg.energy_threshold)
+        record = _record(cfg, "round", t, rec_seed, "fused", inst, outcome, decision=fused)
+    log = [f"{t},{c.su_id},{c.pn_rows.shape[0]},{_decision_hash(fused)}" for c in contributions]
+    return [record], log
+
+
+def _vote_round(cfg: ExperimentConfig, part, weights, sus, factors, t):
+    """One round of per-SU recoveries fused by quorum vote.
+
+    factors memoizes each SU's SvdFactor: an SU's Psi is fixed with its
+    bank, so the factor is the same whichever round builds it.
+    """
+    rec_seed, inst, sigma, contributions = _sense_round(cfg, part, sus, t)
+    records, log, locals_occ = [], [], []
+    for c in contributions:
+        rows = c.pn_rows.shape[0]
+        psi, y = pooled_sensing([c])
+        if c.su_id not in factors:
+            factors[c.su_id] = SvdFactor(psi.psi)
+        eps = epsilon_for(sigma, rows, cfg.eps_delta, c.values / math.sqrt(rows))
+        result = _run_solver("wlasso", cfg, psi, y, eps, part, weights, factor=factors[c.su_id])
+        occ = decide_occupancy([result.z_star], cfg.energy_threshold)
+        locals_occ.append(occ)
+        records.append(_record(cfg, "round", t, rec_seed, f"su{c.su_id}", inst, result,
+                               decision=occ))
+        log.append(f"{t},{c.su_id},{rows},{_decision_hash(occ)}")
+    fused = fuse_votes(locals_occ, cfg.quorum)
+    records.append(_record(cfg, "round", t, rec_seed, "fused", inst, decision=fused))
+    return records, log
+
+
+def _plan_rounds(cfg: ExperimentConfig):
+    part = make_block_partition(cfg.n, cfg.block_sizes, cfg.block_probs)
+    weights = design_weights(average_block_sparsity(part))
+    sus = []
+    for j in range(cfg.su_count):
+        gains = np.ones(cfg.n)
+        if j == cfg.shadow_su and 0 <= cfg.shadow_band < cfg.n:
+            gains[cfg.shadow_band] = 10.0 ** (-cfg.shadow_db / 10.0)
+        seed = int(np.random.SeedSequence(entropy=(cfg.master_seed, 777, j)).generate_state(1)[0])
+        sus.append(SecondaryUser(su_id=j, branches=cfg.su_branches, scans=cfg.su_scans,
+                                 channel_gains=gains, seed=seed))
+    factors = {}  # su_id -> SvdFactor, shared by the vote rounds
+    for t in range(cfg.trials):
+        if cfg.fusion_mode == "pool":
+            yield _pool_round, (cfg, part, weights, sus, t)
+        else:
+            yield _vote_round, (cfg, part, weights, sus, factors, t)
+
+
+def plan_units(cfg: ExperimentConfig):
+    """The configured kind's units of work, as (function, args) in record order."""
+    planners = {"miss_detect_cdf": _plan_drift, "cooperative_round": _plan_rounds}
+    return planners.get(cfg.kind, _plan_sweep)(cfg)
+
+
+def run_experiment(cfg: ExperimentConfig):
+    """Run the configured experiment; returns (records, summary, artifacts).
+
+    The one loop that runs units of work, joining their records and
+    fusion-log lines in plan order.
+    """
+    records, log = [], []
+    for unit, args in plan_units(cfg):
+        unit_records, unit_log = unit(*args)
+        records += unit_records
+        log += unit_log
+    artifacts: dict[str, list[str]] = {}
+    if cfg.kind == "cooperative_round":
+        artifacts["fusion_log.csv"] = ["round,su_id,rows_contributed,decision_hash"] + log
+    elif cfg.kind == "error_gain_vs_m" and "wlasso" in cfg.solvers:
+        artifacts["error_gain.csv"] = _gain_lines(records)
+    return records, summarize(records), artifacts
 
 
 def timing_table(cfg: ExperimentConfig):
     """Matched-instance timing benchmark: per-solver means plus order checks.
 
-    Returns (records, table rows, checks). Checks report whether the greedy
-    solvers order as expected by cost and whether the weighted and plain l1
-    runs take comparable time.
+    Runs cfg as a timing_table experiment at its own (m, SNR, matrix kind).
+    Returns (records, table rows, checks).
     """
-    if not cfg.solvers:
-        raise ValueError("timing_table needs at least one solver")
-    records = _timing_records(cfg)
-    by_solver: dict[str, list[TrialRecord]] = {}
-    for rec in records:
-        by_solver.setdefault(rec.solver, []).append(rec)
+    records, summary, _ = run_experiment(replace(cfg, kind="timing_table", sweep=()))
+    return (records,) + timing_report(summary)
+
+
+def timing_report(summary):
+    """(table rows, checks) of a timing_table run's summary rows.
+
+    The checks report whether the greedy solvers order as expected by cost
+    and whether the weighted and plain l1 runs take comparable time.
+    """
     table = [
-        {
-            "solver": name,
-            "trials": len(rows),
-            "mean_time": float(np.mean([r.wall_time for r in rows])),
-            "mean_iterations": float(np.mean([r.iterations for r in rows])),
-        }
-        for name, rows in by_solver.items()
+        {"solver": row["solver"], "trials": row["trials"], "mean_time": row["mean_wall_time"],
+         "mean_iterations": row["mean_iterations"]}
+        for row in summary
     ]
     mean_time = {row["solver"]: row["mean_time"] for row in table}
     checks = {}
@@ -281,156 +443,7 @@ def timing_table(cfg: ExperimentConfig):
         ratio = mean_time["wlasso"] / mean_time["lasso"]
         checks["wlasso_lasso_time_ratio"] = ratio
         checks["time_parity"] = 1.0 / 1.5 <= ratio <= 1.5
-    return records, table, checks
-
-
-def _miss_cdf(cfg: ExperimentConfig) -> list[TrialRecord]:
-    """Drifting occupancy: forecast-driven budget vs a stale fixed budget."""
-    probs_start = np.asarray(cfg.block_probs, dtype=float)
-    if cfg.drift_probs_end:
-        probs_end = np.asarray(cfg.drift_probs_end, dtype=float)
-    else:
-        probs_end = np.minimum(probs_start * 3.0, 0.9)
-    T = cfg.trials
-    if T <= cfg.lag + 1:
-        raise ValueError(f"need more windows than lag+1={cfg.lag + 1}, got {T}")
-    kbar0 = np.array(
-        [p * s for p, s in zip(probs_start, cfg.block_sizes)], dtype=float
-    )
-    k0 = float(np.clip(kbar0.sum(), 1.0, cfg.n - 1))
-    m_stale = required_measurements(k0, cfg.n, cfg.m_rule_c)
-    w_stale = design_weights(kbar0)
-
-    records = []
-    history_rows: list[np.ndarray] = []
-    for t in range(T):
-        frac = t / (T - 1)
-        probs_t = (1 - frac) * probs_start + frac * probs_end
-        part_t = make_block_partition(cfg.n, cfg.block_sizes, tuple(probs_t))
-        rec_seed, inst_seed, mat_seed, noise_seed = _trial_seeds(cfg.master_seed, 0, t)
-        inst = _sample_occupied(part_t, cfg.amplitude, inst_seed)
-        sigma = sigma_for_snr(inst.x, cfg.n, cfg.snr_db)
-        noisy = add_time_noise(inst.r, NoiseModel(sigma), seed=noise_seed)
-
-        if len(history_rows) > cfg.lag:
-            history = OccupancyHistory(
-                counts=np.stack(history_rows), block_sizes=cfg.block_sizes
-            )
-            predictor = fit_gd(history, lag=cfg.lag)
-            recent = np.stack(history_rows[-cfg.lag:]).T
-            k_hat = predict_sparsity(predictor, recent)
-            m_pred = required_measurements(
-                float(np.clip(k_hat.sum(), 1.0, cfg.n - 1)), cfg.n, cfg.m_rule_c
-            )
-            w_pred = design_weights(k_hat)
-        else:
-            m_pred, w_pred = m_stale, w_stale
-
-        for arm, m_arm, w_arm in (
-            ("predicted_m", m_pred, w_pred),
-            ("stale_m", m_stale, w_stale),
-        ):
-            phi = build_reduction(cfg.matrix_kind, m_arm, cfg.n, seed=mat_seed)
-            psi = compose_sensing(phi)
-            y = measure(phi, noisy)
-            eps = epsilon_for(sigma, m_arm, cfg.eps_delta, y)
-            result = _run_solver("wlasso", cfg, psi, y, eps, part_t, w_arm)
-            records.append(
-                _record(cfg, "drift", t, rec_seed, arm, inst, result, extra=float(m_arm))
-            )
-        block_counts = np.array(
-            [np.count_nonzero(inst.occupancy[s]) for s in part_t.block_slices()],
-            dtype=float,
-        )
-        history_rows.append(block_counts)
-    return records
-
-
-def _decision_hash(decision: np.ndarray) -> str:
-    return hashlib.sha256(decision.astype(np.uint8).tobytes()).hexdigest()[:12]
-
-
-def _cooperative(cfg: ExperimentConfig):
-    part = make_block_partition(cfg.n, cfg.block_sizes, cfg.block_probs)
-    kbar = average_block_sparsity(part)
-    weights = design_weights(kbar)
-    sus = []
-    for j in range(cfg.su_count):
-        gains = np.ones(cfg.n)
-        if j == cfg.shadow_su and 0 <= cfg.shadow_band < cfg.n:
-            gains[cfg.shadow_band] = 10.0 ** (-cfg.shadow_db / 10.0)
-        seed = int(np.random.SeedSequence(entropy=(cfg.master_seed, 777, j)).generate_state(1)[0])
-        sus.append(SecondaryUser(su_id=j, branches=cfg.su_branches, scans=cfg.su_scans,
-                                 channel_gains=gains, seed=seed))
-
-    records = []
-    factors = {}  # su_id -> SvdFactor of the SU's Psi, for vote fusion
-    log_lines = ["round,su_id,rows_contributed,decision_hash"]
-    for t in range(cfg.trials):
-        rec_seed, inst_seed, _, noise_base = _trial_seeds(cfg.master_seed, 0, t)
-        inst = _sample_occupied(part, cfg.amplitude, inst_seed)
-        sigma = sigma_for_snr(inst.x, cfg.n, cfg.snr_db)
-        noise = NoiseModel(sigma)
-        contributions = [
-            su_sense(su, inst, noise, noise_seed=(noise_base + j) % (2**63))
-            for j, su in enumerate(sus)
-        ]
-
-        if cfg.fusion_mode == "pool":
-            fc = FusionCenter(target_m=cfg.m, quorum=cfg.quorum)
-            total_rows = sum(c.pn_rows.shape[0] for c in contributions)
-            eps = epsilon_for(sigma, max(total_rows, cfg.m), cfg.eps_delta, inst.x)
-            outcome = pool_and_recover(
-                fc, contributions, part, weights, eps, max_iter=cfg.max_iter, tol=cfg.tol
-            )
-            if outcome == PENDING:
-                fused = np.zeros(cfg.n, dtype=bool)
-                records.append(_record(cfg, "round", t, rec_seed, "fused", inst,
-                                       decision=fused, converged=False))
-            else:
-                fused = decide_occupancy([outcome.z_star], cfg.energy_threshold)
-                records.append(_record(cfg, "round", t, rec_seed, "fused", inst, outcome,
-                                       decision=fused))
-            for c in contributions:
-                log_lines.append(
-                    f"{t},{c.su_id},{c.pn_rows.shape[0]},{_decision_hash(fused)}"
-                )
-        else:  # vote: an SU's Psi is fixed with its bank, so is its SVD factor
-            locals_occ = []
-            for c in contributions:
-                rows = c.pn_rows.shape[0]
-                psi, y = pooled_sensing([c])
-                if c.su_id not in factors:
-                    factors[c.su_id] = SvdFactor(psi.psi)
-                eps = epsilon_for(sigma, rows, cfg.eps_delta, c.values / math.sqrt(rows))
-                result = _run_solver("wlasso", cfg, psi, y, eps, part, weights,
-                                     factor=factors[c.su_id])
-                occ = decide_occupancy([result.z_star], cfg.energy_threshold)
-                locals_occ.append(occ)
-                records.append(_record(cfg, "round", t, rec_seed, f"su{c.su_id}", inst,
-                                       result, decision=occ))
-                log_lines.append(f"{t},{c.su_id},{rows},{_decision_hash(occ)}")
-            fused = fuse_votes(locals_occ, cfg.quorum)
-            records.append(_record(cfg, "round", t, rec_seed, "fused", inst, decision=fused))
-    return records, {"fusion_log.csv": log_lines}
-
-
-def run_experiment(cfg: ExperimentConfig):
-    """Run the configured experiment; returns (records, summary, artifacts)."""
-    artifacts: dict[str, list[str]] = {}
-    if cfg.kind in ("nmse_vs_snr", "error_gain_vs_m", "coherence_study"):
-        records = _recovery_sweep(cfg)
-        if cfg.kind == "error_gain_vs_m" and "wlasso" in cfg.solvers:
-            artifacts["error_gain.csv"] = _gain_lines(records)
-    elif cfg.kind == "timing_table":
-        records, _, _ = timing_table(cfg)
-    elif cfg.kind == "miss_detect_cdf":
-        records = _miss_cdf(cfg)
-    elif cfg.kind == "cooperative_round":
-        records, artifacts = _cooperative(cfg)
-    else:
-        raise ValueError(f"unknown experiment kind {cfg.kind!r}")
-    return records, summarize(records), artifacts
+    return table, checks
 
 
 def _gain_lines(records) -> list[str]:
@@ -452,8 +465,7 @@ def _gain_lines(records) -> list[str]:
             ]
             if not gains:
                 continue
-            mean = float(np.mean(gains))
-            se = float(np.std(gains, ddof=1) / math.sqrt(len(gains))) if len(gains) > 1 else 0.0
+            mean, se = _mean_se(gains)
             lines.append(f"{sval},{solver},{mean!r},{se!r},{len(gains)}")
     return lines
 
@@ -495,23 +507,6 @@ def parse_records(path) -> list:
         ]
 
 
-SUMMARY_COLUMNS = (
-    "sweep_value",
-    "solver",
-    "trials",
-    "mean_nmse_paper",
-    "se_nmse_paper",
-    "mean_nmse_l2",
-    "se_nmse_l2",
-    "mean_miss",
-    "median_miss",
-    "mean_false_alarm",
-    "mean_wall_time",
-    "mean_iterations",
-    "converged_rate",
-)
-
-
 def _mean_se(values):
     vals = [v for v in values if not math.isnan(v)]
     if not vals:
@@ -522,7 +517,7 @@ def _mean_se(values):
 
 
 def summarize(records) -> list[dict]:
-    """Per (sweep value, solver) aggregate rows."""
+    """Per (sweep value, solver) aggregate rows; their keys are summary.csv's columns."""
     groups: dict[tuple[str, str], list[TrialRecord]] = {}
     for rec in records:
         groups.setdefault((rec.sweep_value, rec.solver), []).append(rec)
@@ -559,6 +554,6 @@ def emit_summary(records, path, cfg: ExperimentConfig):
         fh.write(f"# config_hash={config_hash(cfg)}\n")
         fh.write(f"# master_seed={cfg.master_seed}\n")
         writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
+        writer.writerow(rows[0])  # the column names, in summarize's order
         for row in rows:
-            writer.writerow([_format_cell(row[col]) for col in SUMMARY_COLUMNS])
+            writer.writerow([_format_cell(value) for value in row.values()])

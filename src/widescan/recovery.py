@@ -312,7 +312,7 @@ def decide_occupancy(spectra, threshold: float) -> np.ndarray:
 
     Band b is declared occupied when sum_t |z_b[t]|^2 meets the threshold.
     """
-    if threshold <= 0:
+    if not threshold > 0:  # NaN fails too
         raise ValueError(f"threshold must be positive, got {threshold}")
     stack = np.atleast_2d(np.asarray(spectra))
     if stack.shape[0] < 1:

@@ -123,3 +123,57 @@ def test_same_seed_byte_identical_outside_wall_time(tmp_path):
         ]
 
     assert rows_without_time(out_a) == rows_without_time(out_b)
+
+
+def _write_named(tmp_path, name, out_dir, body=SMALL_SPECTRUM):
+    path = tmp_path / f"{name}.ini"
+    path.write_text(body.format(out=out_dir))
+    return path
+
+
+def test_run_takes_several_configs(tmp_path):
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    cfg_a = _write_named(tmp_path, "a", out_a)
+    cfg_b = _write_named(tmp_path, "b", out_b)
+    assert main(["run", str(cfg_a), str(cfg_b), "--trials", "1"]) == 0
+    for out in (out_a, out_b):
+        assert len(parse_records(out / "records.csv")) == 2 * 1 * 2
+
+
+def test_out_with_several_configs_exits_2_before_running(tmp_path, capsys):
+    out_a, out_b, forced = tmp_path / "a", tmp_path / "b", tmp_path / "forced"
+    cfg_a = _write_named(tmp_path, "a", out_a)
+    cfg_b = _write_named(tmp_path, "b", out_b)
+    assert main(["run", str(cfg_a), str(cfg_b), "--out", str(forced)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not any(p.exists() for p in (out_a, out_b, forced))
+
+
+def test_bad_second_config_fails_before_the_first_runs(tmp_path, capsys):
+    out_a = tmp_path / "a"
+    good = _write_named(tmp_path, "a", out_a)
+    bad = _write_named(tmp_path, "b", tmp_path / "b", SMALL_SPECTRUM.replace("m = 16", "m = x"))
+    assert main(["run", str(good), str(bad)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out_a.exists()
+
+
+def test_configs_sharing_an_out_dir_rejected(tmp_path):
+    shared = tmp_path / "shared"
+    cfg_a = _write_named(tmp_path, "a", shared)
+    cfg_b = _write_named(tmp_path, "b", shared)
+    assert main(["run", str(cfg_a), str(cfg_b)]) == 2
+    assert not shared.exists()
+
+
+def test_run_on_a_timing_config_prints_the_timing_table(tmp_path, capsys):
+    body = SMALL_SPECTRUM.replace("kind = nmse_vs_snr", "kind = timing_table")
+    body = body.replace("[sweep]\nvalues = 5, 15\n", "")
+    out = tmp_path / "t"
+    cfg = _write_named(tmp_path, "t", out, body)
+    assert main(["run", str(cfg), "--trials", "2", "--solvers", "lasso,wlasso"]) == 0
+    printed = capsys.readouterr().out
+    assert "wlasso" in printed and "mean_time" in printed
+    assert "check time_parity" in printed
+    records = parse_records(out / "records.csv")
+    assert {r.sweep_value for r in records} == {"timing"}

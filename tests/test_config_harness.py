@@ -112,13 +112,46 @@ class TestConfigParsing:
             {"max_iter": 0},
             {"tol": -1.0},
             {"tol": math.nan},
+            {"shadow_db": math.inf},
+            {"shadow_db": math.nan},
+            {"eps_delta": math.nan},
+            {"eps_delta": -5.0},
+            {"eps_delta": -1.0},
+            {"energy_threshold": math.nan},
+            {"energy_threshold": 0.0},
+            {"energy_threshold": -0.25},
         ],
         ids=["nan_snr", "minus_inf_snr", "nan_in_sweep", "minus_inf_in_sweep",
-             "zero_max_iter", "negative_tol", "nan_tol"],
+             "zero_max_iter", "negative_tol", "nan_tol", "inf_shadow_db", "nan_shadow_db",
+             "nan_eps_delta", "eps_delta_below_minus_one", "eps_delta_minus_one",
+             "nan_energy_threshold", "zero_energy_threshold", "negative_energy_threshold"],
     )
     def test_bad_numeric_input_rejected(self, override):
         with pytest.raises(ConfigError):
             small_cfg(**override)
+
+    @pytest.mark.parametrize("kind", ["timing_table", "miss_detect_cdf", "cooperative_round"])
+    def test_ignored_sweep_values_rejected(self, kind, tmp_path):
+        # these kinds run one fixed point, so sweep values would be ignored
+        with pytest.raises(ConfigError):
+            small_cfg(kind=kind, sweep=("1", "2", "3"))
+        path = tmp_path / "c.ini"
+        path.write_text(f"[experiment]\nkind = {kind}\n[sweep]\nvalues = 1, 2, 3\n")
+        with pytest.raises(ConfigError):
+            parse_config(path)
+
+    def test_parsed_fields_take_their_declared_types(self, tmp_path):
+        path = tmp_path / "echo.ini"
+        write_config_echo(small_cfg(drift_probs_end=(0.5, 0.1)), path)
+        back = parse_config(path)
+        for f in dataclasses.fields(ExperimentConfig):
+            value = getattr(back, f.name)
+            assert isinstance(value, f.type), f.name
+            if f.type is tuple:
+                assert len({type(v) for v in value}) <= 1, f.name
+        assert isinstance(back.block_sizes[0], int)
+        assert isinstance(back.block_probs[0], float)
+        assert isinstance(back.snr_db, float) and isinstance(back.m, int)
 
     def test_noise_free_snr_allowed(self):
         assert small_cfg(snr_db=math.inf, sweep=("inf",)).snr_db == math.inf
@@ -299,9 +332,9 @@ class TestHarnessRuns:
         assert all(0 <= r.extra <= 1 for r in coh)
 
     def test_miss_cdf_requires_enough_windows(self):
-        cfg = small_cfg(kind="miss_detect_cdf", sweep=("drift",), trials=4, lag=5)
-        with pytest.raises(ValueError):
-            run_experiment(cfg)
+        # a config error, so `widescan run` rejects it before any config runs
+        with pytest.raises(ConfigError):
+            small_cfg(kind="miss_detect_cdf", sweep=("drift",), trials=4, lag=5)
 
     def test_cooperative_round_shapes(self):
         cfg = small_cfg(

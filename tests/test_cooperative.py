@@ -70,6 +70,13 @@ class TestSuSense:
             contrib.values / np.sqrt(rows), measure(phi, inst.r), atol=1e-12
         )
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf_gain", "nan_gain"])
+    def test_non_finite_gains_rejected(self, bad):
+        gains = np.ones(8)
+        gains[3] = bad
+        with pytest.raises(ValueError):
+            make_su(0, 8, gains=gains)
+
 
 class TestPoolAndRecover:
     def setup_method(self):

@@ -25,6 +25,11 @@ class TestDecideOccupancy:
         with pytest.raises(ValueError):
             decide_occupancy(np.zeros((1, 4)), threshold=0.0)
 
+    def test_nan_threshold_rejected(self):
+        # a NaN threshold would declare every band vacant
+        with pytest.raises(ValueError):
+            decide_occupancy(np.ones((1, 4)), threshold=float("nan"))
+
 
 class TestMetrics:
     def test_perfect_recovery_zero_error_full_gain(self):
