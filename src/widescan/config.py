@@ -111,8 +111,18 @@ class ExperimentConfig:
             raise ConfigError(f"shadow_db must be finite, got {self.shadow_db}")
         if not self.eps_delta > -1:  # NaN fails too
             raise ConfigError(f"eps_delta must be a number above -1, got {self.eps_delta}")
-        if not self.energy_threshold > 0:
-            raise ConfigError(f"energy_threshold must be positive, got {self.energy_threshold}")
+        if not (math.isfinite(self.energy_threshold) and self.energy_threshold > 0):
+            raise ConfigError(
+                f"energy_threshold must be finite and positive, got {self.energy_threshold}"
+            )
+        if not 0 < self.quorum <= 1:  # NaN fails too
+            raise ConfigError(f"quorum must lie in (0, 1], got {self.quorum}")
+        if min(self.su_count, self.su_branches, self.su_scans) < 1:
+            raise ConfigError("su_count, su_branches and su_scans must each be >= 1")
+        if self.kind == "cooperative_round" and self.su_branches * self.su_scans > self.n:
+            raise ConfigError(f"su_branches * su_scans exceeds n={self.n}")
+        if not (0 <= self.shadow_su < self.su_count and 0 <= self.shadow_band < self.n):
+            raise ConfigError("shadow_su must lie in [0, su_count) and shadow_band in [0, n)")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}

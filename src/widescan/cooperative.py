@@ -138,13 +138,18 @@ def pooled_sensing(contributions) -> tuple[SensingMatrix, np.ndarray]:
     from different SUs may coincide, so no distinctness check is made.
     """
     raw = np.vstack([c.pn_rows for c in contributions])
-    values = np.concatenate([c.values for c in contributions])
     scale = 1.0 / math.sqrt(raw.shape[0])
     phi = ReductionMatrix(
         kind="bernoulli", m=raw.shape[0], n=raw.shape[1], entries=raw * scale, seed=None
     )
     psi = SensingMatrix(psi=phi.entries @ inverse_dft_matrix(phi.n), provenance=phi)
-    return psi, values * scale
+    return psi, pooled_values(contributions)
+
+
+def pooled_values(contributions) -> np.ndarray:
+    """The measurements y of pooled_sensing, without building Psi."""
+    values = np.concatenate([c.values for c in contributions])
+    return values * (1.0 / math.sqrt(values.shape[0]))
 
 
 def pool_and_recover(fc: FusionCenter, contributions, part, weights, epsilon, **solver_opts):

@@ -1,12 +1,13 @@
 """Seeded Monte Carlo experiment runner with CSV emission.
 
-Every kind plans independent units of work (a sweep trial, a drift window
-or a cooperative round) and run_experiment runs them in one loop. A unit's
-draws are seeded from (master seed, sweep index, trial index), so records
-are reproducible row-by-row regardless of execution order. Output
-files: records.csv (one row per trial per solver), summary.csv (aggregates
-with config hash and master seed in the header), plus kind-specific
-artifacts such as the cooperative fusion log.
+Every kind plans independent units of work (a sweep trial, a drift window,
+a pooled round, or the vote rounds, solved as one batch per SU) and
+run_experiment runs them in one loop. Draws are seeded from (master seed,
+sweep index, trial index), so records are reproducible row-by-row whatever
+the execution order or batching. Output files: records.csv (one row per
+trial per solver), summary.csv (aggregates with config hash and master seed
+in the header), plus kind-specific artifacts such as the cooperative fusion
+log.
 """
 
 import csv
@@ -24,6 +25,7 @@ from .cooperative import (
     fuse_votes,
     pool_and_recover,
     pooled_sensing,
+    pooled_values,
     su_sense,
 )
 from .measurement import build_reduction, coherence, compose_sensing, measure
@@ -35,7 +37,6 @@ from .prediction import (
 )
 from .recovery import (
     RecoveryProblem,
-    SvdFactor,
     decide_occupancy,
     design_weights,
     error_gain,
@@ -45,6 +46,7 @@ from .recovery import (
     solve_lasso,
     solve_wlasso,
     solve_wlasso_scaled,
+    wlasso_batch,
 )
 from .greedy import solve_assamp, solve_cosamp, solve_omp
 from .spectrum import (
@@ -133,22 +135,20 @@ def _default_k(kbar_total: float, m: int) -> int:
     return max(1, min(int(round(kbar_total)), m))
 
 
-def _run_solver(name, cfg, psi, y, eps, part, weights, kbar_total=0.0, greedy_tol=0.0,
-                factor=None):
-    """Solve one problem with the named solver: every solve goes through here.
+def _run_solver(name, cfg, psi, y, eps, part, weights, kbar_total=0.0, greedy_tol=0.0):
+    """Solve one problem with the named solver: every solve but a vote batch's.
 
-    The solvers are looked up by their module-global names at each call, so
-    a wrapper installed on this module's names sees every solve. A given
-    SvdFactor of psi goes to wlasso (None: the solve builds its own).
+    Solvers (and wlasso_batch, in _vote_rounds) are looked up by module-global
+    name at each call, so a wrapper installed on this module's names sees them.
     """
     if name == "lasso":
         problem = RecoveryProblem(psi=psi, y=y, epsilon=eps)
         return solve_lasso(problem, max_iter=cfg.max_iter, tol=cfg.tol)
     if name in ("wlasso", "wlasso_scaled"):
         problem = RecoveryProblem(psi=psi, y=y, epsilon=eps, weights=weights)
-        if name == "wlasso_scaled":  # solves on a rescaled Psi, so builds its own
+        if name == "wlasso_scaled":
             return solve_wlasso_scaled(problem, part, max_iter=cfg.max_iter, tol=cfg.tol)
-        return solve_wlasso(problem, part, max_iter=cfg.max_iter, tol=cfg.tol, factor=factor)
+        return solve_wlasso(problem, part, max_iter=cfg.max_iter, tol=cfg.tol)
     if name == "bp":
         return solve_bp(psi, y, max_iter=cfg.max_iter, tol=cfg.tol)
     m = psi.m
@@ -208,10 +208,10 @@ def _record(cfg, sweep_value, trial, seed, solver, inst, result=None, decision=N
 # Units of work
 #
 # Each kind plans independent units of work in record order: a (sweep point,
-# trial), a drift window or a cooperative round. A unit is a module-level
-# function and its plain data arguments; it returns (records, fusion-log
-# lines) and reads no other unit's output, so any run order gives the same
-# records once they are put back in plan order.
+# trial), a drift window, a pooled round or a range of vote rounds. A unit is
+# a module-level function and its plain data arguments; it returns (records,
+# fusion-log lines) and reads no other unit's output, so any run order gives
+# the same records once they are put back in plan order.
 
 
 def _sweep_trial(cfg: ExperimentConfig, part, weights, kbar_total, sweep_idx, trial):
@@ -329,7 +329,7 @@ def _pool_round(cfg: ExperimentConfig, part, weights, sus, t):
     rec_seed, inst, sigma, contributions = _sense_round(cfg, part, sus, t)
     fc = FusionCenter(target_m=cfg.m, quorum=cfg.quorum)
     total_rows = sum(c.pn_rows.shape[0] for c in contributions)
-    eps = epsilon_for(sigma, max(total_rows, cfg.m), cfg.eps_delta, inst.x)
+    eps = epsilon_for(sigma, max(total_rows, cfg.m), cfg.eps_delta, pooled_values(contributions))
     outcome = pool_and_recover(fc, contributions, part, weights, eps,
                                max_iter=cfg.max_iter, tol=cfg.tol)
     if outcome == PENDING:
@@ -343,28 +343,31 @@ def _pool_round(cfg: ExperimentConfig, part, weights, sus, t):
     return [record], log
 
 
-def _vote_round(cfg: ExperimentConfig, part, weights, sus, factors, t):
-    """One round of per-SU recoveries fused by quorum vote.
-
-    factors memoizes each SU's SvdFactor: an SU's Psi is fixed with its
-    bank, so the factor is the same whichever round builds it.
-    """
-    rec_seed, inst, sigma, contributions = _sense_round(cfg, part, sus, t)
-    records, log, locals_occ = [], [], []
-    for c in contributions:
-        rows = c.pn_rows.shape[0]
-        psi, y = pooled_sensing([c])
-        if c.su_id not in factors:
-            factors[c.su_id] = SvdFactor(psi.psi)
-        eps = epsilon_for(sigma, rows, cfg.eps_delta, c.values / math.sqrt(rows))
-        result = _run_solver("wlasso", cfg, psi, y, eps, part, weights, factor=factors[c.su_id])
-        occ = decide_occupancy([result.z_star], cfg.energy_threshold)
-        locals_occ.append(occ)
-        records.append(_record(cfg, "round", t, rec_seed, f"su{c.su_id}", inst, result,
-                               decision=occ))
-        log.append(f"{t},{c.su_id},{rows},{_decision_hash(occ)}")
-    fused = fuse_votes(locals_occ, cfg.quorum)
-    records.append(_record(cfg, "round", t, rec_seed, "fused", inst, decision=fused))
+def _vote_rounds(cfg: ExperimentConfig, part, weights, sus, rounds):
+    """Rounds of per-SU recoveries, each fused by quorum vote. An SU's Psi is
+    fixed with its bank, so its problems of all the rounds are one wlasso_batch,
+    whose rows are independent: any split of the rounds gives the same records."""
+    sensed = [_sense_round(cfg, part, sus, t) for t in rounds]
+    solved = []  # per SU, one result per round
+    for j in range(len(sus)):
+        psi, _ = pooled_sensing([sensed[0][3][j]])  # SU j's Psi, the same every round
+        problems = []
+        for _, _, sigma, contributions in sensed:
+            y = pooled_values([contributions[j]])
+            eps = epsilon_for(sigma, psi.m, cfg.eps_delta, y)
+            problems.append(RecoveryProblem(psi=psi, y=y, epsilon=eps, weights=weights))
+        solved.append(wlasso_batch(problems, part, max_iter=cfg.max_iter, tol=cfg.tol))
+    records, log = [], []
+    for i, (t, (rec_seed, inst, _, contributions)) in enumerate(zip(rounds, sensed)):
+        locals_occ = []
+        for c, results in zip(contributions, solved):
+            occ = decide_occupancy([results[i].z_star], cfg.energy_threshold)
+            locals_occ.append(occ)
+            records.append(_record(cfg, "round", t, rec_seed, f"su{c.su_id}", inst, results[i],
+                                   decision=occ))
+            log.append(f"{t},{c.su_id},{c.pn_rows.shape[0]},{_decision_hash(occ)}")
+        fused = fuse_votes(locals_occ, cfg.quorum)
+        records.append(_record(cfg, "round", t, rec_seed, "fused", inst, decision=fused))
     return records, log
 
 
@@ -374,17 +377,16 @@ def _plan_rounds(cfg: ExperimentConfig):
     sus = []
     for j in range(cfg.su_count):
         gains = np.ones(cfg.n)
-        if j == cfg.shadow_su and 0 <= cfg.shadow_band < cfg.n:
+        if j == cfg.shadow_su:
             gains[cfg.shadow_band] = 10.0 ** (-cfg.shadow_db / 10.0)
         seed = int(np.random.SeedSequence(entropy=(cfg.master_seed, 777, j)).generate_state(1)[0])
         sus.append(SecondaryUser(su_id=j, branches=cfg.su_branches, scans=cfg.su_scans,
                                  channel_gains=gains, seed=seed))
-    factors = {}  # su_id -> SvdFactor, shared by the vote rounds
+    if cfg.fusion_mode == "vote":
+        yield _vote_rounds, (cfg, part, weights, sus, range(cfg.trials))
+        return
     for t in range(cfg.trials):
-        if cfg.fusion_mode == "pool":
-            yield _pool_round, (cfg, part, weights, sus, t)
-        else:
-            yield _vote_round, (cfg, part, weights, sus, factors, t)
+        yield _pool_round, (cfg, part, weights, sus, t)
 
 
 def plan_units(cfg: ExperimentConfig):

@@ -11,11 +11,15 @@ ball, coupled through a scaled dual variable. The splitting is over-relaxed
 pushed RELAXATION times as far from the previous soft-threshold point. The
 projected iterate is returned, so every result is feasible up to
 root-finding precision. The projection splits into a per-matrix SVD (an
-SvdFactor, which a caller whose Psi never changes reuses) and a
-per-measurement part. Its Lagrange multiplier is the root of a trust-region
-secular equation, found by Newton's method on the reciprocal residual norm
-(concave, so the steps never overshoot from the left) and warm-started from
-the previous projection's root. Greedy pursuits live in
+SvdFactor) and a per-measurement part. Its Lagrange multiplier is the root
+of a trust-region secular equation, found by Newton's method on the
+reciprocal residual norm (concave, so the steps never overshoot from the
+left) and warm-started from the previous projection's root.
+
+Problems that share one Psi (a cooperative SU's rounds) are solved by
+wlasso_batch as one row-batched iteration, which pays numpy's per-call cost
+once per step for all of them; no row depends on its batch-mates. A single
+problem runs faster on the serial core. Greedy pursuits live in
 widescan.greedy.
 """
 
@@ -91,7 +95,7 @@ def design_weights(k_bar, floor: float = SPARSITY_FLOOR) -> np.ndarray:
 class SvdFactor:
     """The per-matrix half of the ball projection: Psi's thin SVD, without
     singular values at or below 1e-12 s_max. It holds no state of a solve, so
-    a device whose Psi is fixed keeps one across measurements."""
+    every measurement through one Psi can share it."""
 
     def __init__(self, a_mat: np.ndarray):
         u, s, vh = np.linalg.svd(a_mat, full_matrices=False)
@@ -107,9 +111,9 @@ class SvdFactor:
 class _BallProjection:
     """Exact Euclidean projection onto {z : ||A z - y||_2 <= eps} via one SVD.
 
-    The SVD is an SvdFactor of A (built here unless one is given). The rest
-    is per measurement y: b = U^H y, the unreachable norm, the least-squares
-    point and the warm-started multiplier, which never outlives one solve.
+    The SVD is an SvdFactor of A. The rest is per measurement y: b = U^H y,
+    the unreachable norm, the least-squares point and the warm-started
+    multiplier, which never outlives one solve.
 
     In the right singular basis the projection of a point with coefficients
     c0 is c(lam) = (c0 + lam s b) / (1 + lam s^2), whose residual is
@@ -124,8 +128,8 @@ class _BallProjection:
     splitting iterates move little, so a few steps usually suffice.
     """
 
-    def __init__(self, a_mat: np.ndarray, y: np.ndarray, factor: SvdFactor | None = None):
-        f = SvdFactor(a_mat) if factor is None else factor
+    def __init__(self, a_mat: np.ndarray, y: np.ndarray):
+        f = SvdFactor(a_mat)
         self.s, self.vh, self._v, self._ssq = f.s, f.vh, f.v, f.ssq
         b = f.u.conj().T @ y
         self.b = b
@@ -189,19 +193,17 @@ def _solve_constrained_l1(
     max_iter: int = 5000,
     tol: float = 1e-6,
     rho: float = 1.0,
-    factor: SvdFactor | None = None,
 ) -> RecoveryResult:
     """Splitting iteration for the weighted constrained l1 program.
 
     Entry weights are rescaled to unit mean internally; the minimizer is
     invariant to that scaling and uniform weights then reproduce the plain
     l1 path exactly. The projected iterate is returned, so converged results
-    satisfy the residual bound to projection precision. A given factor must
-    be SvdFactor(psi_mat); without one, the solve builds its own.
+    satisfy the residual bound to projection precision.
     """
     t0 = time.perf_counter()
     n = psi_mat.shape[1]
-    proj = _BallProjection(psi_mat, y, factor)
+    proj = _BallProjection(psi_mat, y)
     feas_slack = 1e-12 * max(1.0, float(np.linalg.norm(y)))
     infeasible = math.sqrt(proj.y_perp_sq) > eps + feas_slack
 
@@ -250,6 +252,122 @@ def _solve_constrained_l1(
     )
 
 
+# ---------------------------------------------------------------------------
+# Row-batched core: row r of every array is problem r. A 2-D product or einsum
+# rounds a row by its batch-mates, so products and norms go row by row.
+
+
+def _row_products(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """a[r] @ mat for every row r, each as its own product."""
+    return np.matmul(a[:, None, :], mat)[:, 0, :]
+
+
+def _row_sq_norms(x: np.ndarray) -> np.ndarray:
+    """||x[r]||^2 for every row r of a complex x, each summed on its own."""
+    return np.square(x.view(np.float64)).sum(axis=1)
+
+
+class _RowBallProjection:
+    """_BallProjection with the per-measurement state of each row of y;
+    keep() drops the rows whose solves have stopped."""
+
+    def __init__(self, f: SvdFactor, y: np.ndarray, eps: np.ndarray):
+        self.s, self.ssq = f.s, f.ssq
+        self._vh_t, self._v_t = np.ascontiguousarray(f.vh.T), np.ascontiguousarray(f.v.T)
+        self.b = _row_products(y, np.ascontiguousarray(f.u.conj()))
+        self.sb, self.c_ls = self.s * self.b, self.b / self.s
+        self.y_perp_sq = _row_sq_norms(y - _row_products(self.b, np.ascontiguousarray(f.u.T)))
+        self.eps_sq, self.target = eps * eps, eps * eps - self.y_perp_sq
+        self.lam = np.zeros(y.shape[0])
+
+    def keep(self, rows: np.ndarray):
+        for name in ("b", "sb", "c_ls", "y_perp_sq", "eps_sq", "target", "lam"):
+            setattr(self, name, getattr(self, name)[rows])
+
+    def project(self, a: np.ndarray) -> np.ndarray:
+        c0 = _row_products(a, self._vh_t)
+        d = self.s * c0 - self.b
+        move = np.flatnonzero(~(_row_sq_norms(d) + self.y_perp_sq <= self.eps_sq))
+        if not move.size:
+            return a
+        c = self.c_ls[move]
+        sec = self.target[move] > 0.0
+        if sec.any():
+            c[sec] = self._solve_secular(move[sec], c0[move[sec]], d[move[sec]])
+        out = a.copy()
+        out[move] += _row_products(c - c0[move], self._v_t)
+        return out
+
+    def _solve_secular(self, rows, c0, d):
+        """_BallProjection._solve_secular; a row within tolerance stops stepping."""
+        dsq = d.real**2 + d.imag**2
+        ssq, target, lam = self.ssq, self.target[rows], self.lam[rows]
+        todo = np.ones(rows.size, dtype=bool)
+        for _ in range(60):
+            q = 1.0 + lam[:, None] * ssq
+            r = dsq / (q * q)
+            phi = r.sum(axis=1)
+            todo &= ~(np.abs(phi - target) <= 1e-9 * target)
+            if not todo.any():
+                break
+            step = 2.0 * phi * (1.0 - np.sqrt(phi / target)) / (-2.0 * (r * (ssq / q)).sum(axis=1))
+            lam = np.where(todo, np.maximum(0.0, lam + step), lam)
+        q = 1.0 + lam[:, None] * ssq
+        self.lam[rows] = lam
+        return (c0 + lam[:, None] * self.sb[rows]) / q
+
+
+def _solve_shared_l1(psi, y_rows, eps, entry_weights, factor: SvdFactor, max_iter: int = 5000,
+                     tol: float = 1e-6) -> list[RecoveryResult]:
+    """_solve_constrained_l1 of each row of y_rows, eps and entry_weights, on
+    psi with its SvdFactor. Each row keeps its own rho, warm start, stop test,
+    balancing and flags, and leaves the batch when it stops. Rows agree with
+    the serial core up to rounding; wall_time is the batch's time over B.
+    """
+    t0 = time.perf_counter()
+    n_rows, n = y_rows.shape[0], psi.shape[1]
+    proj = _RowBallProjection(factor, y_rows, eps)
+    feas_slack = 1e-12 * np.maximum(1.0, np.sqrt(_row_sq_norms(y_rows)))
+    infeasible = np.sqrt(proj.y_perp_sq) > eps + feas_slack
+    w = entry_weights / entry_weights.mean(axis=1, keepdims=True)
+    rho, thresh = np.ones(n_rows), w  # thresh is w / rho
+    z = proj.project(np.zeros((n_rows, n), dtype=complex))
+    v, u = np.zeros_like(z), np.zeros_like(z)
+    live, z_out = np.arange(n_rows), z.copy()
+    iterations, hit_tol = np.zeros(n_rows, dtype=int), np.zeros(n_rows, dtype=bool)
+    for it in range(1, max_iter + 1):
+        z_prev = z
+        z = proj.project(v - u)
+        zu = (RELAXATION * z + (1.0 - RELAXATION) * v) + u
+        v_new = _soft_threshold(zu, thresh)
+        u = zu - v_new
+        primal = np.sqrt(_row_sq_norms(z - v_new))
+        scale = np.maximum(np.sqrt(_row_sq_norms(z)), 1e-12)
+        change = np.sqrt(_row_sq_norms(z - z_prev))
+        stop = np.maximum(change, primal) <= tol * scale
+        if it % 10 == 0:  # residual balancing, as in the serial core
+            dual = rho * np.sqrt(_row_sq_norms(v_new - v))
+            up = (primal > 10.0 * dual) & (rho < 1e8)
+            down = ~up & (dual > 10.0 * primal) & (rho > 1e-8)
+            rho = np.where(up, rho * 2.0, np.where(down, rho / 2.0, rho))
+            u = np.where(up[:, None], u / 2.0, np.where(down[:, None], u * 2.0, u))
+            thresh = w / rho[:, None]
+        v = v_new
+        end = stop | (it == max_iter)
+        if end.any():
+            z_out[live[end]], iterations[live[end]], hit_tol[live[end]] = z[end], it, stop[end]
+            live, z, v, u, rho, w, thresh = (a[~end] for a in (live, z, v, u, rho, w, thresh))
+            proj.keep(~end)
+            if not live.size:
+                break
+
+    residual = np.sqrt(_row_sq_norms(_row_products(z_out, np.ascontiguousarray(psi.T)) - y_rows))
+    wall_time = (time.perf_counter() - t0) / n_rows
+    converged = hit_tol & ~infeasible
+    return [RecoveryResult(z_out[r], float(residual[r]), int(iterations[r]), wall_time,
+                           bool(converged[r])) for r in range(n_rows)]
+
+
 def _entry_weights(problem: RecoveryProblem, part: BlockPartition, solver: str) -> np.ndarray:
     """The problem's block weights expanded to one weight per entry of z."""
     if problem.weights is None:
@@ -273,6 +391,21 @@ def solve_wlasso(problem: RecoveryProblem, part: BlockPartition, **opts) -> Reco
     """Block-weighted constrained l1 recovery."""
     w = _entry_weights(problem, part, "solve_wlasso")
     return _solve_constrained_l1(problem.psi.psi, problem.y, problem.epsilon, w, **opts)
+
+
+def wlasso_batch(problems, part: BlockPartition, **opts) -> list[RecoveryResult]:
+    """solve_wlasso of problems that share one Psi, as one batch. Results match
+    solve_wlasso's up to rounding; wall_time is the batch's time over its size."""
+    problems = list(problems)
+    if not problems:
+        raise ValueError("wlasso_batch needs at least one problem")
+    psi = problems[0].psi.psi
+    if any(not np.array_equal(p.psi.psi, psi) for p in problems[1:]):
+        raise ValueError("wlasso_batch needs every problem to have the same Psi")
+    w = np.stack([_entry_weights(p, part, "wlasso_batch") for p in problems])
+    y = np.stack([p.y for p in problems])
+    eps = np.array([p.epsilon for p in problems])
+    return _solve_shared_l1(psi, y, eps, w, SvdFactor(psi), **opts)
 
 
 def solve_wlasso_scaled(problem: RecoveryProblem, part: BlockPartition, **opts) -> RecoveryResult:

@@ -15,14 +15,17 @@ For each config the report gives the count of records that are
 byte-identical apart from `wall_time`, the max absolute and relative
 difference of every float column, the rows whose `iterations`,
 `converged`, `miss` or `false_alarm` changed, per solver, and each solver's
-mean `iterations` in the old and the new tree. It then compares
-`summary.csv` without `mean_wall_time` and every artifact (`error_gain.csv`,
-`fusion_log.csv`) byte for byte.
+mean `iterations` in the old and the new tree. `summary.csv` (without
+`mean_wall_time`) and `error_gain.csv` are compared the same way: their `#`
+provenance lines, keys and exact columns must match, and the largest
+relative change of each float column is reported. Other artifacts
+(`fusion_log.csv`) are compared byte for byte.
 
-Exit status: 0 when every run succeeded and only float columns of
-`records.csv` moved, 1 when a run failed, the record keys, iterations,
-convergence flags or detection decisions differ, or `summary.csv` or an
-artifact differs. pytest does not collect this file (no `test_` prefix).
+Exit status: 0 when every run succeeded and only float columns moved, 1 when
+a run failed, or keys, provenance, an exact column (the records'
+iterations, convergence flags and detection decisions, the tables' counts,
+rates and means of integers) or a byte-compared artifact differ. pytest does
+not collect this file (no `test_` prefix).
 """
 
 import argparse
@@ -43,6 +46,16 @@ WALL_COLUMNS = {RECORDS: "wall_time", "summary.csv": "mean_wall_time"}
 KEY_COLUMNS = ("experiment", "sweep_value", "trial", "seed", "solver")
 FLOAT_COLUMNS = ("nmse_paper", "nmse_l2", "extra")
 EXACT_COLUMNS = ("iterations", "converged", "miss", "false_alarm")
+# Aggregate tables: (key columns, exact columns); every other column is a
+# float whose largest relative change is reported.
+TABLES = {
+    "summary.csv": (
+        ("sweep_value", "solver"),
+        ("trials", "mean_miss", "median_miss", "mean_false_alarm", "mean_iterations",
+         "converged_rate"),
+    ),
+    "error_gain.csv": (("sweep_value", "solver"), ("trials",)),
+}
 ONE_THREAD = {
     name: "1"
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -97,6 +110,20 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / top if top > 0 else 0.0
 
 
+def _worst_change(old: list[dict], new: list[dict], col: str) -> tuple[float, float]:
+    """Largest absolute and relative change of a float column; inf where only one is NaN."""
+    worst_abs = worst_rel = 0.0
+    for o, n in zip(old, new):
+        a, b = float(o[col]), float(n[col])
+        if math.isnan(a) and math.isnan(b):
+            continue
+        if math.isnan(a) != math.isnan(b):
+            return math.inf, math.inf
+        worst_abs = max(worst_abs, abs(a - b))
+        worst_rel = max(worst_rel, _rel(a, b))
+    return worst_abs, worst_rel
+
+
 def compare(old: list[dict], new: list[dict]) -> tuple[list[str], bool]:
     """Report lines for one config, and whether anything beyond floats moved."""
     if len(old) != len(new) or any(
@@ -108,16 +135,7 @@ def compare(old: list[dict], new: list[dict]) -> tuple[list[str], bool]:
     )
     lines = [f"  {len(old)} records, {same} byte-identical apart from wall_time"]
     for col in FLOAT_COLUMNS:
-        worst_abs = worst_rel = 0.0
-        for o, n in zip(old, new):
-            a, b = float(o[col]), float(n[col])
-            if math.isnan(a) and math.isnan(b):
-                continue
-            if math.isnan(a) != math.isnan(b):
-                worst_abs = worst_rel = math.inf
-                continue
-            worst_abs = max(worst_abs, abs(a - b))
-            worst_rel = max(worst_rel, _rel(a, b))
+        worst_abs, worst_rel = _worst_change(old, new, col)
         lines.append(f"  {col:11s} max abs {worst_abs:.3g}  max rel {worst_rel:.3g}")
     moved = False
     for col in EXACT_COLUMNS:
@@ -144,14 +162,44 @@ def mean_iterations(old: list[dict], new: list[dict]) -> list[tuple[str, float, 
     ]
 
 
+def _table(text: str) -> tuple[list[str], str, list[dict]]:
+    """(`#` provenance lines, header line, rows) of an aggregate table's text."""
+    lines = text.split("\n")
+    body = [line for line in lines if not line.startswith("#")]
+    return [line for line in lines if line.startswith("#")], body[0], parse_rows("\n".join(body))
+
+
+def compare_table(old: str, new: str, keys, exact) -> tuple[str, bool]:
+    """Report line for one aggregate table's text, and whether more than floats moved."""
+    old_notes, old_header, old_rows = _table(old)
+    new_notes, new_header, new_rows = _table(new)
+    if (old_notes, old_header) != (new_notes, new_header):
+        return "provenance or columns DIFFER", True
+    if len(old_rows) != len(new_rows) or any(
+        o[k] != n[k] for o, n in zip(old_rows, new_rows) for k in keys
+    ):
+        return f"keys DIFFER ({len(old_rows)} vs {len(new_rows)} rows)", True
+    changed = [c for c in exact if any(o[c] != n[c] for o, n in zip(old_rows, new_rows))]
+    if changed:
+        return f"exact columns DIFFER: {', '.join(changed)}", True
+    floats = [c for c in old_header.strip().split(",") if c not in keys and c not in exact]
+    worst = ", ".join(f"{c} {_worst_change(old_rows, new_rows, c)[1]:.3g}" for c in floats)
+    return f"keys and exact columns identical; max rel {worst}", False
+
+
 def compare_files(old: dict[str, str], new: dict[str, str]) -> tuple[list[str], bool]:
-    """Report lines for every file but records.csv, and whether any differs."""
+    """Report lines for every file but records.csv, and whether more than floats moved."""
     lines, differs = [], False
     for name in sorted((old.keys() | new.keys()) - {RECORDS}):
-        same = old.get(name) == new.get(name)
-        differs = differs or not same
+        if old.get(name) == new.get(name):
+            line, moved = "identical", False
+        elif name in TABLES and name in old and name in new:
+            line, moved = compare_table(old[name], new[name], *TABLES[name])
+        else:
+            line, moved = "DIFFERS", True
+        differs = differs or moved
         without = f" without {WALL_COLUMNS[name]}" if name in WALL_COLUMNS else ""
-        lines.append(f"  {name}{without}: {'identical' if same else 'DIFFERS'}")
+        lines.append(f"  {name}{without}: {line}")
     return lines, differs
 
 

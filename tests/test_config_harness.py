@@ -13,6 +13,7 @@ from widescan.config import (
     parse_config,
     write_config_echo,
 )
+from widescan.cooperative import pool_and_recover, pooled_sensing
 from widescan.harness import (
     RECORD_COLUMNS,
     TrialRecord,
@@ -22,6 +23,14 @@ from widescan.harness import (
     run_experiment,
     sigma_for_snr,
     timing_table,
+)
+from widescan.recovery import wlasso_batch
+
+
+# A small cooperative_round on top of small_cfg: 3 SUs of 20 rows, n = 40.
+COOP_FIELDS = dict(
+    kind="cooperative_round", sweep=("round",), block_sizes=(10, 30), block_probs=(1.0, 0.05),
+    m=20, su_count=3, su_branches=4, su_scans=5, solvers=("wlasso",),
 )
 
 
@@ -120,15 +129,41 @@ class TestConfigParsing:
             {"energy_threshold": math.nan},
             {"energy_threshold": 0.0},
             {"energy_threshold": -0.25},
+            {"energy_threshold": math.inf},
         ],
         ids=["nan_snr", "minus_inf_snr", "nan_in_sweep", "minus_inf_in_sweep",
              "zero_max_iter", "negative_tol", "nan_tol", "inf_shadow_db", "nan_shadow_db",
              "nan_eps_delta", "eps_delta_below_minus_one", "eps_delta_minus_one",
-             "nan_energy_threshold", "zero_energy_threshold", "negative_energy_threshold"],
+             "nan_energy_threshold", "zero_energy_threshold", "negative_energy_threshold",
+             "inf_energy_threshold"],
     )
     def test_bad_numeric_input_rejected(self, override):
         with pytest.raises(ConfigError):
             small_cfg(**override)
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"quorum": 0.0},
+            {"quorum": 1.5},
+            {"quorum": math.nan},
+            {"su_count": 0},
+            {"su_branches": 0},
+            {"su_scans": 0},
+            {"su_branches": 9, "su_scans": 5},
+            {"shadow_su": 3},
+            {"shadow_su": -1},
+            {"shadow_band": 40},
+            {"shadow_band": -1},
+        ],
+        ids=["zero_quorum", "quorum_above_one", "nan_quorum", "no_sus", "no_branches",
+             "no_scans", "more_su_rows_than_n", "shadow_su_too_large", "negative_shadow_su",
+             "shadow_band_too_large", "negative_shadow_band"],
+    )
+    def test_bad_cooperative_input_rejected(self, override):
+        # each of these used to parse, then fail the run or shadow no SU
+        with pytest.raises(ConfigError):
+            small_cfg(**dict(COOP_FIELDS, **override))
 
     @pytest.mark.parametrize("kind", ["timing_table", "miss_detect_cdf", "cooperative_round"])
     def test_ignored_sweep_values_rejected(self, kind, tmp_path):
@@ -359,7 +394,6 @@ class TestHarnessRuns:
 
     def test_vote_rounds_draw_each_bank_and_factor_once(self, monkeypatch):
         import widescan.cooperative as cooperative
-        import widescan.harness as harness
         import widescan.recovery as recovery
 
         banks, factors = [], []
@@ -376,7 +410,6 @@ class TestHarnessRuns:
 
         monkeypatch.setattr(cooperative, "make_afe_bank", spy_bank)
         monkeypatch.setattr(recovery, "SvdFactor", SpyFactor)
-        monkeypatch.setattr(harness, "SvdFactor", SpyFactor)
         cfg = small_cfg(
             kind="cooperative_round", sweep=("round",), trials=4, n=40,
             block_sizes=(10, 30), block_probs=(1.0, 0.05), m=20,
@@ -423,6 +456,30 @@ class TestHarnessRuns:
         records, _, _ = run_experiment(cfg)
         assert len(records) == 2
         assert all(0 < r.iterations <= 3 for r in records)
+
+    @pytest.mark.parametrize("fusion_mode", ["pool", "vote"])
+    def test_noise_free_budget_floor_follows_the_solved_measurements(self, monkeypatch,
+                                                                     fusion_mode):
+        # at sigma = 0 the budget is its floor, 1e-9 ||y||, of the y the solver sees
+        import widescan.harness as harness
+
+        seen = []
+
+        def spy_pool(fc, contributions, part, weights, epsilon, **opts):
+            seen.append((pooled_sensing(contributions)[1], epsilon))
+            return pool_and_recover(fc, contributions, part, weights, epsilon, **opts)
+
+        def spy_batch(problems, part, **opts):
+            seen.extend((p.y, p.epsilon) for p in problems)
+            return wlasso_batch(problems, part, **opts)
+
+        monkeypatch.setattr(harness, "pool_and_recover", spy_pool)
+        monkeypatch.setattr(harness, "wlasso_batch", spy_batch)
+        cfg = small_cfg(**dict(COOP_FIELDS, trials=2, snr_db=math.inf, fusion_mode=fusion_mode))
+        run_experiment(cfg)
+        assert len(seen) == (2 if fusion_mode == "pool" else 6)
+        for y, epsilon in seen:
+            assert epsilon == 1e-9 * float(np.linalg.norm(y))
 
     @pytest.mark.parametrize("solver", KNOWN_SOLVERS)
     def test_every_known_solver_dispatches(self, solver):

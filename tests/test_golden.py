@@ -31,7 +31,14 @@ import numpy as np
 import pytest
 
 import widescan
-from record_diff import ONE_THREAD, RECORDS, comparable_outputs, compare, parse_rows
+from record_diff import (
+    ONE_THREAD,
+    RECORDS,
+    comparable_outputs,
+    compare,
+    compare_files,
+    parse_rows,
+)
 from widescan.cli import _write_outputs
 from widescan.config import apply_overrides, parse_config
 from widescan.harness import run_experiment
@@ -121,6 +128,25 @@ def test_outputs_match_golden(name, golden, outputs):
     texts = outputs[name]
     if {file: _sha(text) for file, text in texts.items()} != golden[name]:
         pytest.fail(_mismatch_report(name, texts, golden[name]), pytrace=False)
+
+
+SUMMARY = (
+    "# config_hash=abc\n# master_seed=7\n"
+    "sweep_value,solver,trials,mean_nmse_paper,se_nmse_paper,mean_nmse_l2,se_nmse_l2,"
+    "mean_miss,median_miss,mean_false_alarm,mean_iterations,converged_rate\r\n"
+    "round,su0,2,0.125,0.25,0.5,0.75,1.0,1.0,0.5,42.0,1.0\r\n"
+)
+
+
+@pytest.mark.parametrize("new, moved", [
+    (SUMMARY.replace("0.125,0.25", "0.12500000000000003,0.25"), False),
+    (SUMMARY.replace("1.0,1.0,0.5", "1.0,2.0,0.5"), True),
+    (SUMMARY.replace("master_seed=7", "master_seed=8"), True),
+    (SUMMARY.replace("round,su0", "round,su1"), True),
+], ids=["float_moved", "median_miss_changed", "provenance_changed", "key_changed"])
+def test_record_diff_passes_tables_whose_floats_alone_moved(new, moved):
+    lines, differs = compare_files({"summary.csv": SUMMARY}, {"summary.csv": new})
+    assert differs == moved, lines
 
 
 def write_table():

@@ -11,11 +11,14 @@ from widescan.recovery import (
     RecoveryProblem,
     SvdFactor,
     _BallProjection,
+    _solve_constrained_l1,
+    _solve_shared_l1,
     design_weights,
     solve_bp,
     solve_lasso,
     solve_wlasso,
     solve_wlasso_scaled,
+    wlasso_batch,
 )
 from widescan.spectrum import make_block_partition
 
@@ -316,22 +319,89 @@ class TestBallProjection:
         assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
 
-def test_reused_factor_solves_bitwise_like_a_fresh_one():
-    # one fixed Psi measured over several rounds, as a vote-fusion SU is: the
-    # shared factor carries nothing (no multiplier warm start) between rounds
-    rng = np.random.default_rng(21)
-    psi = gaussian_sensing(12, 30, seed=21)
-    part = make_block_partition(30, [10, 10, 10], [0.3, 0.1, 0.05])
-    w = design_weights([3.0, 1.0, 0.5])
-    shared = SvdFactor(psi.psi)
-    for _ in range(4):
-        x, _ = sparse_signal(30, 3, rng)
-        y = psi.psi @ x + 0.05 * (rng.standard_normal(12) + 1j * rng.standard_normal(12))
-        problem = RecoveryProblem(psi=psi, y=y, epsilon=0.3, weights=w)
-        fresh = solve_wlasso(problem, part)
-        reused = solve_wlasso(problem, part, factor=shared)
-        assert reused.z_star.tobytes() == fresh.z_star.tobytes()
-        assert (reused.iterations, reused.converged) == (fresh.iterations, fresh.converged)
+def _shared_psi_batch(seed, rows=12, m=12, n=30, noise=0.05, scale=1.0):
+    """(psi, measurements, block partition, weights) of rows problems on one Psi."""
+    rng = np.random.default_rng(seed)
+    psi = gaussian_sensing(m, n, seed=seed)
+    part = make_block_partition(n, [10, 10, 10], [0.3, 0.1, 0.05])
+    ys = []
+    for _ in range(rows):
+        x, _ = sparse_signal(n, 3, rng)
+        e = noise * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        ys.append(scale * (psi.psi @ x + e))
+    return psi, np.stack(ys), part, design_weights([3.0, 1.0, 0.5])
+
+
+def _fingerprint(result):
+    return (result.z_star.tobytes(), result.residual_norm, result.iterations, result.converged)
+
+
+class TestSharedPsiBatch:
+    def test_no_row_depends_on_its_batch_mates(self):
+        # every product and norm is taken row by row, so any split or order
+        # of the batch gives bitwise the same rows
+        psi, ys, part, w = _shared_psi_batch(21, rows=15)
+        problems = [RecoveryProblem(psi=psi, y=y, epsilon=0.3, weights=w) for y in ys]
+        whole = [_fingerprint(r) for r in wlasso_batch(problems, part)]
+        for piece in (1, 4, 7):
+            split = [
+                _fingerprint(r)
+                for i in range(0, len(problems), piece)
+                for r in wlasso_batch(problems[i:i + piece], part)
+            ]
+            assert split == whole
+        order = np.random.default_rng(0).permutation(len(problems))
+        shuffled = wlasso_batch([problems[i] for i in order], part)
+        assert [_fingerprint(shuffled[k]) for k in np.argsort(order)] == whole
+
+    @pytest.mark.parametrize("case", ["unreachable", "tiny_budget", "max_iter_cap",
+                                      "rho_both_ways", "per_row_weights"])
+    def test_agrees_with_the_serial_core(self, case):
+        psi, ys, _, _ = _shared_psi_batch(
+            5, rows=6, scale=1e-2 if case == "rho_both_ways" else 1.0
+        )
+        a = psi.psi
+        eps = np.full(len(ys), 0.3 * (1e-2 if case == "rho_both_ways" else 1.0))
+        weights = np.ones((len(ys), a.shape[1]))
+        opts = {}
+        if case == "unreachable":  # rank 8 of 12 rows: the part of y outside range(Psi)
+            a = np.vstack([a[:8], a[:4]])
+            eps[::2] = 1e-3  # is out of reach for these rows only
+        elif case == "tiny_budget":  # the budget solve_bp sets
+            eps = 1e-9 * np.linalg.norm(ys, axis=1)
+        elif case == "max_iter_cap":
+            opts = {"max_iter": 30}
+        elif case == "per_row_weights":
+            weights = np.random.default_rng(9).uniform(0.2, 3.0, weights.shape)
+        batch = _solve_shared_l1(a, ys, eps, weights, SvdFactor(a), **opts)
+        for y, e, w, got in zip(ys, eps, weights, batch):
+            want = _solve_constrained_l1(a, y, e, w, **opts)
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+            assert np.linalg.norm(got.z_star - want.z_star) <= 1e-9 * np.linalg.norm(want.z_star)
+        if case == "unreachable":
+            assert [r.converged for r in batch[::2]] == [False] * 3
+        if case == "max_iter_cap":
+            assert {r.iterations for r in batch} == {30}
+
+    def test_rejects_problems_on_different_psi(self):
+        psi, ys, part, w = _shared_psi_batch(3, rows=2)
+        other = gaussian_sensing(12, 30, seed=4)
+        problems = [RecoveryProblem(psi=p, y=y, epsilon=0.3, weights=w)
+                    for p, y in zip((psi, other), ys)]
+        with pytest.raises(ValueError, match="same Psi"):
+            wlasso_batch(problems, part)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**31), st.floats(0.02, 0.8))
+def test_converged_batched_rows_are_feasible(seed, eps_scale):
+    psi, ys, part, w = _shared_psi_batch(seed, rows=5)
+    budgets = eps_scale * np.random.default_rng(seed).uniform(0.5, 1.5, len(ys))
+    problems = [RecoveryProblem(psi=psi, y=y, epsilon=e, weights=w) for y, e in zip(ys, budgets)]
+    for problem, res in zip(problems, wlasso_batch(problems, part)):
+        if res.converged:
+            assert res.residual_norm <= problem.epsilon * (1 + 1e-6)
+        assert abs(np.linalg.norm(psi.psi @ res.z_star - problem.y) - res.residual_norm) <= 1e-9
 
 
 class TestBasisPursuit:

@@ -1,9 +1,10 @@
 """Units of work: order-free, and every solve visible to a wrapper.
 
 run_experiment runs each kind's planned units in plan order. These tests run
-the same plan in reverse, put the results back in plan order and compare, and
-install counting spies where perfbench's tracer wraps names (the solver names
-in widescan.harness and widescan.cooperative, and
+the same plan in reverse, put the results back in plan order and compare,
+split the vote rounds' one unit into several, and install counting spies
+where perfbench's tracer wraps names (the solver names and wlasso_batch in
+widescan.harness and widescan.cooperative, and
 widescan.cooperative.make_afe_bank).
 """
 
@@ -40,7 +41,7 @@ CASES = {
 }
 SOLVER_NAMES = (
     "solve_lasso", "solve_wlasso", "solve_wlasso_scaled", "solve_bp",
-    "solve_omp", "solve_cosamp", "solve_assamp",
+    "solve_omp", "solve_cosamp", "solve_assamp", "wlasso_batch",
 )
 
 
@@ -75,7 +76,8 @@ def test_spies_see_every_solve_and_bank_draw(monkeypatch, case):
         original = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls[name] += 1
+            # a batch counts one call per problem it solves
+            calls[name] += len(args[0]) if name == "wlasso_batch" else 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -98,5 +100,23 @@ def test_spies_see_every_solve_and_bank_draw(monkeypatch, case):
         assert calls == Counter({f"solve_{s}": per_point for s in cfg.solvers})
     elif case == "cooperative_pending":
         assert not calls
+    elif case == "cooperative_vote":  # one batch per SU
+        assert calls == Counter({"wlasso_batch": cfg.trials * cfg.su_count})
     else:
         assert set(calls) == {"solve_wlasso"}
+
+
+def test_vote_rounds_split_into_units_give_the_same_records():
+    cfg = ExperimentConfig(**dict(COOP, trials=7))
+    ((unit, args),) = plan_units(cfg)
+    whole = unit(*args)
+    parts = [unit(*args[:-1], rounds) for rounds in (range(0, 1), range(1, 4), range(4, 7))]
+    assert _comparable([r for recs, _ in parts for r in recs]) == _comparable(whole[0])
+    assert [line for _, log in parts for line in log] == whole[1]
+
+
+def test_vote_run_is_a_prefix_of_a_longer_run():
+    # trial counts can grow without disturbing earlier rows, batched or not
+    short, _, _ = run_experiment(ExperimentConfig(**dict(COOP, trials=20)))
+    long, _, _ = run_experiment(ExperimentConfig(**dict(COOP, trials=40)))
+    assert _comparable(short) == _comparable(long[:len(short)])
