@@ -1,7 +1,8 @@
 """Seeded Monte Carlo experiment runner with CSV emission.
 
-Every kind plans independent units of work (a sweep trial, a drift window,
-a pooled round, or the vote rounds, solved as one batch per SU) and
+Every kind plans independent units of work (a block of sweep cells, whose
+lasso and wlasso problems are solved as one batch each, a drift window, a
+pooled round, or the vote rounds, solved as one batch per SU) and
 run_experiment runs them in one loop. Draws are seeded from (master seed,
 sweep index, trial index), so records are reproducible row-by-row whatever
 the execution order or batching. Output files: records.csv (one row per
@@ -28,7 +29,7 @@ from .cooperative import (
     pooled_values,
     su_sense,
 )
-from .measurement import build_reduction, coherence, compose_sensing, measure
+from .measurement import SensingMatrix, build_reduction, coherence, compose_sensing, measure
 from .prediction import (
     OccupancyHistory,
     fit_gd,
@@ -40,13 +41,13 @@ from .recovery import (
     decide_occupancy,
     design_weights,
     error_gain,
+    l1_batch,
     nmse,
     nmse_l2,
     solve_bp,
     solve_lasso,
     solve_wlasso,
     solve_wlasso_scaled,
-    wlasso_batch,
 )
 from .greedy import solve_assamp, solve_cosamp, solve_omp
 from .spectrum import (
@@ -136,10 +137,12 @@ def _default_k(kbar_total: float, m: int) -> int:
 
 
 def _run_solver(name, cfg, psi, y, eps, part, weights, kbar_total=0.0, greedy_tol=0.0):
-    """Solve one problem with the named solver: every solve but a vote batch's.
+    """Solve one problem with the named solver: every solve but a batch's.
 
-    Solvers (and wlasso_batch, in _vote_rounds) are looked up by module-global
-    name at each call, so a wrapper installed on this module's names sees them.
+    Batches are a sweep block's lasso and wlasso problems and an SU's vote
+    rounds. Solvers (and l1_batch, in _sweep_cells and _vote_rounds) are looked
+    up by module-global name at each call, so a wrapper installed on this
+    module's names sees them.
     """
     if name == "lasso":
         problem = RecoveryProblem(psi=psi, y=y, epsilon=eps)
@@ -207,49 +210,87 @@ def _record(cfg, sweep_value, trial, seed, solver, inst, result=None, decision=N
 # ---------------------------------------------------------------------------
 # Units of work
 #
-# Each kind plans independent units of work in record order: a (sweep point,
-# trial), a drift window, a pooled round or a range of vote rounds. A unit is
-# a module-level function and its plain data arguments; it returns (records,
-# fusion-log lines) and reads no other unit's output, so any run order gives
-# the same records once they are put back in plan order.
+# Each kind plans independent units of work in record order: a block of
+# (sweep point, trial) cells, a drift window, a pooled round or a range of
+# vote rounds. A unit is a module-level function and its plain data arguments;
+# it returns (records, fusion-log lines) and reads no other unit's output, so
+# any run order gives the same records once they are put back in plan order.
+
+# (sweep point, trial) cells per unit of a recovery sweep. A batched l1 row
+# does not depend on its batch-mates, so the block size moves no output bit;
+# larger blocks cost memory and ran no faster.
+SWEEP_BLOCK = 20
 
 
-def _sweep_trial(cfg: ExperimentConfig, part, weights, kbar_total, sweep_idx, trial):
-    """Every configured solver on one trial's instance of one sweep point."""
-    sval = cfg.sweep[sweep_idx]
-    m, snr_db, mat_kind = cfg.m, cfg.snr_db, cfg.matrix_kind  # timing_table's one point
-    if cfg.kind == "error_gain_vs_m":
-        m = int(sval)
-    elif cfg.kind == "coherence_study":
-        mat_kind = str(sval)
-    elif cfg.kind == "nmse_vs_snr":
-        snr_db = float(sval)
-    rec_seed, inst_seed, mat_seed, noise_seed = _trial_seeds(cfg.master_seed, sweep_idx, trial)
-    inst = _sample_occupied(part, cfg.amplitude, inst_seed)
-    phi = build_reduction(mat_kind, m, cfg.n, seed=mat_seed)
-    psi = compose_sensing(phi)
+def _sweep_cells(cfg: ExperimentConfig, part, weights, kbar_total, cells):
+    """Every configured solver on the instances of some (sweep point, trial) cells.
+
+    The cells' lasso problems are one l1_batch, and so are their wlasso
+    problems; every other solver runs cell by cell. The timing table solves
+    its lasso and wlasso problems one at a time instead: criterion 08
+    compares their per-solve times.
+    """
+    batched = () if cfg.kind == "timing_table" else ("lasso", "wlasso")
+    problems = {solver: [] for solver in batched if solver in cfg.solvers}
+    rows = []
+    for sweep_idx, trial in cells:
+        sval = cfg.sweep[sweep_idx]
+        m, snr_db, mat_kind = cfg.m, cfg.snr_db, cfg.matrix_kind  # timing_table's one point
+        if cfg.kind == "error_gain_vs_m":
+            m = int(sval)
+        elif cfg.kind == "coherence_study":
+            mat_kind = str(sval)
+        elif cfg.kind == "nmse_vs_snr":
+            snr_db = float(sval)
+        rec_seed, inst_seed, mat_seed, noise_seed = _trial_seeds(cfg.master_seed, sweep_idx, trial)
+        inst = _sample_occupied(part, cfg.amplitude, inst_seed)
+        phi = build_reduction(mat_kind, m, cfg.n, seed=mat_seed)
+        psi = compose_sensing(phi)
+        head = []
+        if cfg.kind == "coherence_study":
+            head.append(_record(cfg, sval, trial, rec_seed, "coherence", inst,
+                                extra=coherence(psi)))
+        sigma = sigma_for_snr(inst.x, cfg.n, snr_db)
+        noisy = add_time_noise(inst.r, NoiseModel(sigma), seed=noise_seed)
+        y = measure(phi, noisy)
+        eps = epsilon_for(sigma, m, cfg.eps_delta, y)
+        gtol = greedy_tolerance(sigma, cfg.n, cfg.eps_delta, y)
+        results = {}
+        psi_alone = SensingMatrix(psi=psi.psi)  # a batched problem keeps no Phi alive
+        for solver in cfg.solvers:
+            if solver in problems:
+                problems[solver].append(RecoveryProblem(
+                    psi=psi_alone, y=y, epsilon=eps,
+                    weights=weights if solver == "wlasso" else None,
+                ))
+            else:
+                results[solver] = _run_solver(solver, cfg, psi, y, eps, part, weights,
+                                              kbar_total, gtol)
+        rows.append((sval, trial, rec_seed, inst, head, results))
+    for solver, group in problems.items():
+        solved = l1_batch(group, part if solver == "wlasso" else None,
+                          max_iter=cfg.max_iter, tol=cfg.tol)
+        for (*_, results), result in zip(rows, solved):
+            results[solver] = result
     records = []
-    if cfg.kind == "coherence_study":
-        records.append(_record(cfg, sval, trial, rec_seed, "coherence", inst, extra=coherence(psi)))
-    sigma = sigma_for_snr(inst.x, cfg.n, snr_db)
-    noisy = add_time_noise(inst.r, NoiseModel(sigma), seed=noise_seed)
-    y = measure(phi, noisy)
-    eps = epsilon_for(sigma, m, cfg.eps_delta, y)
-    gtol = greedy_tolerance(sigma, cfg.n, cfg.eps_delta, y)
-    for solver in cfg.solvers:
-        result = _run_solver(solver, cfg, psi, y, eps, part, weights, kbar_total, gtol)
-        records.append(_record(cfg, sval, trial, rec_seed, solver, inst, result))
+    for sval, trial, rec_seed, inst, head, results in rows:
+        records += head
+        records += [_record(cfg, sval, trial, rec_seed, solver, inst, results[solver])
+                    for solver in cfg.solvers]
     return records, []
 
 
 def _plan_sweep(cfg: ExperimentConfig):
+    """Units of up to SWEEP_BLOCK consecutive (sweep point, trial) cells; the
+    timing table's units hold one cell each."""
     part = make_block_partition(cfg.n, cfg.block_sizes, cfg.block_probs)
     kbar = average_block_sparsity(part)
     weights = design_weights(kbar)
     kbar_total = float(kbar.sum())
-    for sweep_idx in range(len(cfg.sweep)):
-        for trial in range(cfg.trials):
-            yield _sweep_trial, (cfg, part, weights, kbar_total, sweep_idx, trial)
+    cells = [(s, t) for s in range(len(cfg.sweep)) for t in range(cfg.trials)]
+    size = 1 if cfg.kind == "timing_table" else SWEEP_BLOCK
+    for start in range(0, len(cells), size):
+        yield _sweep_cells, (cfg, part, weights, kbar_total, tuple(cells[start:start + size]))
 
 
 def _drift_window(cfg: ExperimentConfig, part, inst, window, seeds, arms):
@@ -345,7 +386,7 @@ def _pool_round(cfg: ExperimentConfig, part, weights, sus, t):
 
 def _vote_rounds(cfg: ExperimentConfig, part, weights, sus, rounds):
     """Rounds of per-SU recoveries, each fused by quorum vote. An SU's Psi is
-    fixed with its bank, so its problems of all the rounds are one wlasso_batch,
+    fixed with its bank, so its problems of all the rounds are one l1_batch,
     whose rows are independent: any split of the rounds gives the same records."""
     sensed = [_sense_round(cfg, part, sus, t) for t in rounds]
     solved = []  # per SU, one result per round
@@ -356,7 +397,7 @@ def _vote_rounds(cfg: ExperimentConfig, part, weights, sus, rounds):
             y = pooled_values([contributions[j]])
             eps = epsilon_for(sigma, psi.m, cfg.eps_delta, y)
             problems.append(RecoveryProblem(psi=psi, y=y, epsilon=eps, weights=weights))
-        solved.append(wlasso_batch(problems, part, max_iter=cfg.max_iter, tol=cfg.tol))
+        solved.append(l1_batch(problems, part, max_iter=cfg.max_iter, tol=cfg.tol))
     records, log = [], []
     for i, (t, (rec_seed, inst, _, contributions)) in enumerate(zip(rounds, sensed)):
         locals_occ = []

@@ -16,16 +16,19 @@ of a trust-region secular equation, found by Newton's method on the
 reciprocal residual norm (concave, so the steps never overshoot from the
 left) and warm-started from the previous projection's root.
 
-Problems that share one Psi (a cooperative SU's rounds) are solved by
-wlasso_batch as one row-batched iteration, which pays numpy's per-call cost
-once per step for all of them; no row depends on its batch-mates. A single
-problem runs faster on the serial core. Greedy pursuits live in
-widescan.greedy.
+l1_batch solves many problems as one row-batched iteration, each row through
+its own Psi's factor, or through one factor when they all share a Psi (a
+cooperative SU's rounds). It pays numpy's per-call cost once per step for all
+of them, and no row depends on its batch-mates. Recovery sweeps batch a block
+of trials' lasso and wlasso problems, and vote fusion each SU's rounds. A lone
+problem runs faster on the serial core, which the timing table, the drift
+windows and pooled rounds use. Greedy pursuits live in widescan.greedy.
 """
 
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -104,8 +107,12 @@ class SvdFactor:
         self.u = u[:, keep]
         self.s = s[keep]
         self.vh = vh[keep]
-        self.v = np.ascontiguousarray(self.vh.conj().T)
         self.ssq = self.s**2
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        """Contiguous V = vh^H, which only the one-problem projection reads."""
+        return np.ascontiguousarray(self.vh.conj().T)
 
 
 class _BallProjection:
@@ -253,13 +260,10 @@ def _solve_constrained_l1(
 
 
 # ---------------------------------------------------------------------------
-# Row-batched core: row r of every array is problem r. A 2-D product or einsum
-# rounds a row by its batch-mates, so products and norms go row by row.
-
-
-def _row_products(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """a[r] @ mat for every row r, each as its own product."""
-    return np.matmul(a[:, None, :], mat)[:, 0, :]
+# Row-batched core: row r of every array is problem r, with row r of a stack of
+# SvdFactor parts, or row 0 for every row when they share one Psi. A 2-D
+# product or einsum rounds a row by its batch-mates, so products and norms go
+# row by row.
 
 
 def _row_sq_norms(x: np.ndarray) -> np.ndarray:
@@ -267,25 +271,71 @@ def _row_sq_norms(x: np.ndarray) -> np.ndarray:
     return np.square(x.view(np.float64)).sum(axis=1)
 
 
-class _RowBallProjection:
-    """_BallProjection with the per-measurement state of each row of y;
-    keep() drops the rows whose solves have stopped."""
+def _rank_stacks(mats, ys):
+    """Yield (rows, s, vh, b, y_perp_sq) for each rank the rows' factors keep.
 
-    def __init__(self, f: SvdFactor, y: np.ndarray, eps: np.ndarray):
-        self.s, self.ssq = f.s, f.ssq
-        self._vh_t, self._v_t = np.ascontiguousarray(f.vh.T), np.ascontiguousarray(f.v.T)
-        self.b = _row_products(y, np.ascontiguousarray(f.u.conj()))
-        self.sb, self.c_ls = self.s * self.b, self.b / self.s
-        self.y_perp_sq = _row_sq_norms(y - _row_products(self.b, np.ascontiguousarray(f.u.T)))
-        self.eps_sq, self.target = eps * eps, eps * eps - self.y_perp_sq
-        self.lam = np.zeros(y.shape[0])
+    mats holds one matrix per row of ys, or one that every row shares; all
+    have one shape. s and vh stack the SvdFactor of each matrix, zero-padded
+    to min(m, n) singular values; b = U^H y and the unreachable norm
+    y_perp_sq are formed row by row as _BallProjection forms them. rows are
+    the indices into ys of the rows whose factor keeps that rank, and the
+    stacks are cut to it. A factor is dropped once copied, so u is never
+    stacked.
+    """
+    (_, n), width = mats[0].shape, min(mats[0].shape)
+    s = np.zeros((len(mats), width))
+    vh = np.zeros((len(mats), width, n), dtype=complex)
+    b = np.zeros((len(ys), width), dtype=complex)
+    y_perp_sq, ranks = np.empty(len(ys)), np.empty(len(ys), dtype=int)
+    for r, y in enumerate(ys):
+        if r < len(mats):
+            f = SvdFactor(mats[r])
+            k = f.s.size
+            s[r, :k], vh[r, :k] = f.s, f.vh
+        ranks[r] = k
+        b[r, :k] = f.u.conj().T @ y
+        y_perp = y - f.u @ b[r, :k]
+        y_perp_sq[r] = float(np.vdot(y_perp, y_perp).real)
+    for k in np.unique(ranks):
+        rows = np.flatnonzero(ranks == k)
+        if len(mats) == 1:
+            yield rows, s[:, :k], vh[:, :k], b[:, :k], y_perp_sq
+        elif rows.size == len(ys) and k == width:
+            yield rows, s, vh, b, y_perp_sq
+        else:
+            yield rows, s[rows, :k], vh[rows, :k], b[rows, :k], y_perp_sq[rows]
+
+
+class _RowBallProjection:
+    """_BallProjection with the per-measurement state of each row of y, each
+    through its own factor; keep() drops the rows whose solves have stopped.
+
+    s, vh, b and y_perp_sq come from _rank_stacks: s and vh have a row per
+    row of y, or one row that every row shares. The product with V is taken
+    as conj(conj(delta) vh), so V is never stored.
+    """
+
+    def __init__(self, s, vh, b, y_perp_sq, eps: np.ndarray):
+        self.s, self.ssq, self.vh = s, s * s, vh
+        self.shared = vh.shape[0] == 1
+        self.b, self.sb, self.c_ls = b, s * b, b / s
+        self.y_perp_sq = y_perp_sq
+        self.eps_sq, self.target = eps * eps, eps * eps - y_perp_sq
+        self.lam = np.zeros(b.shape[0])
 
     def keep(self, rows: np.ndarray):
-        for name in ("b", "sb", "c_ls", "y_perp_sq", "eps_sq", "target", "lam"):
+        names = ("b", "sb", "c_ls", "y_perp_sq", "eps_sq", "target", "lam")
+        for name in names + (() if self.shared else ("s", "ssq")):
             setattr(self, name, getattr(self, name)[rows])
+        if not self.shared:  # compact vh in place: a copy would double the stack
+            kept = np.flatnonzero(rows)
+            for to, frm in enumerate(kept):
+                if to != frm:
+                    self.vh[to] = self.vh[frm]
+            self.vh = self.vh[:kept.size]
 
     def project(self, a: np.ndarray) -> np.ndarray:
-        c0 = _row_products(a, self._vh_t)
+        c0 = np.matmul(self.vh, a[:, :, None])[:, :, 0]
         d = self.s * c0 - self.b
         move = np.flatnonzero(~(_row_sq_norms(d) + self.y_perp_sq <= self.eps_sq))
         if not move.size:
@@ -294,14 +344,20 @@ class _RowBallProjection:
         sec = self.target[move] > 0.0
         if sec.any():
             c[sec] = self._solve_secular(move[sec], c0[move[sec]], d[move[sec]])
-        out = a.copy()
-        out[move] += _row_products(c - c0[move], self._v_t)
-        return out
+        if move.size == a.shape[0]:
+            return a + np.conj(np.matmul(np.conj(c - c0)[:, None, :], self.vh))[:, 0, :]
+        delta = np.zeros_like(c0)  # rows that stay get exactly a back
+        delta[move] = c - c0[move]
+        step = np.conj(np.matmul(np.conj(delta)[:, None, :], self.vh))[:, 0, :]
+        stay = np.ones(a.shape[0], dtype=bool)
+        stay[move] = False
+        return np.where(stay[:, None], a, a + step)
 
     def _solve_secular(self, rows, c0, d):
         """_BallProjection._solve_secular; a row within tolerance stops stepping."""
         dsq = d.real**2 + d.imag**2
-        ssq, target, lam = self.ssq, self.target[rows], self.lam[rows]
+        ssq = self.ssq if self.shared else self.ssq[rows]
+        target, lam = self.target[rows], self.lam[rows]
         todo = np.ones(rows.size, dtype=bool)
         for _ in range(60):
             q = 1.0 + lam[:, None] * ssq
@@ -317,16 +373,17 @@ class _RowBallProjection:
         return (c0 + lam[:, None] * self.sb[rows]) / q
 
 
-def _solve_shared_l1(psi, y_rows, eps, entry_weights, factor: SvdFactor, max_iter: int = 5000,
-                     tol: float = 1e-6) -> list[RecoveryResult]:
-    """_solve_constrained_l1 of each row of y_rows, eps and entry_weights, on
-    psi with its SvdFactor. Each row keeps its own rho, warm start, stop test,
-    balancing and flags, and leaves the batch when it stops. Rows agree with
-    the serial core up to rounding; wall_time is the batch's time over B.
+def _solve_batched_l1(s, vh, b, y_perp_sq, y_rows, eps, entry_weights, max_iter: int = 5000,
+                      tol: float = 1e-6):
+    """_solve_constrained_l1 of each row of y_rows, eps and entry_weights.
+
+    s, vh, b and y_perp_sq are one rank's stacks from _rank_stacks. Each row
+    keeps its own rho, warm start, stop test, balancing and flags, and leaves
+    the batch when it stops. Returns the estimates, iteration counts and
+    converged flags, which agree with the serial core's up to rounding.
     """
-    t0 = time.perf_counter()
-    n_rows, n = y_rows.shape[0], psi.shape[1]
-    proj = _RowBallProjection(factor, y_rows, eps)
+    n_rows, n = y_rows.shape[0], vh.shape[2]
+    proj = _RowBallProjection(s, vh, b, y_perp_sq, eps)
     feas_slack = 1e-12 * np.maximum(1.0, np.sqrt(_row_sq_norms(y_rows)))
     infeasible = np.sqrt(proj.y_perp_sq) > eps + feas_slack
     w = entry_weights / entry_weights.mean(axis=1, keepdims=True)
@@ -360,12 +417,7 @@ def _solve_shared_l1(psi, y_rows, eps, entry_weights, factor: SvdFactor, max_ite
             proj.keep(~end)
             if not live.size:
                 break
-
-    residual = np.sqrt(_row_sq_norms(_row_products(z_out, np.ascontiguousarray(psi.T)) - y_rows))
-    wall_time = (time.perf_counter() - t0) / n_rows
-    converged = hit_tol & ~infeasible
-    return [RecoveryResult(z_out[r], float(residual[r]), int(iterations[r]), wall_time,
-                           bool(converged[r])) for r in range(n_rows)]
+    return z_out, iterations, hit_tol & ~infeasible
 
 
 def _entry_weights(problem: RecoveryProblem, part: BlockPartition, solver: str) -> np.ndarray:
@@ -393,19 +445,47 @@ def solve_wlasso(problem: RecoveryProblem, part: BlockPartition, **opts) -> Reco
     return _solve_constrained_l1(problem.psi.psi, problem.y, problem.epsilon, w, **opts)
 
 
-def wlasso_batch(problems, part: BlockPartition, **opts) -> list[RecoveryResult]:
-    """solve_wlasso of problems that share one Psi, as one batch. Results match
-    solve_wlasso's up to rounding; wall_time is the batch's time over its size."""
+def l1_batch(problems, part: BlockPartition | None = None, **opts) -> list[RecoveryResult]:
+    """solve_lasso (no part) or solve_wlasso (with part) of every problem.
+
+    Problems whose Psi have the same shape and whose SvdFactor keeps the same
+    rank are solved as one row-batched iteration, which pays numpy's per-call
+    cost once per step for all of them. Each problem gets its own factor,
+    unless every problem of a shape is on one SensingMatrix object, which
+    then has one factor for all. No row depends on its batch-mates, so a
+    problem's result is bitwise the same in any batch, and matches the
+    one-problem solver's up to rounding. wall_time is the call's time over
+    its number of problems.
+    """
+    t0 = time.perf_counter()
     problems = list(problems)
     if not problems:
-        raise ValueError("wlasso_batch needs at least one problem")
-    psi = problems[0].psi.psi
-    if any(not np.array_equal(p.psi.psi, psi) for p in problems[1:]):
-        raise ValueError("wlasso_batch needs every problem to have the same Psi")
-    w = np.stack([_entry_weights(p, part, "wlasso_batch") for p in problems])
-    y = np.stack([p.y for p in problems])
-    eps = np.array([p.epsilon for p in problems])
-    return _solve_shared_l1(psi, y, eps, w, SvdFactor(psi), **opts)
+        raise ValueError("l1_batch needs at least one problem")
+    if part is None and any(p.weights is not None for p in problems):
+        raise ValueError("plain l1 takes no block weights; pass the partition")
+    weights = [np.ones(p.psi.n) if part is None else _entry_weights(p, part, "l1_batch")
+               for p in problems]
+    solved = [None] * len(problems)
+    by_shape = {}
+    for i, p in enumerate(problems):
+        by_shape.setdefault(p.psi.psi.shape, []).append(i)
+    for rows in by_shape.values():
+        psis = [problems[i].psi for i in rows]
+        shared = all(psi is psis[0] for psi in psis)
+        ys = np.stack([problems[i].y for i in rows])
+        eps = np.array([problems[i].epsilon for i in rows])
+        w = np.stack([weights[i] for i in rows])
+        mats = [psi.psi for psi in (psis[:1] if shared else psis)]
+        for sel, *stacks in _rank_stacks(mats, ys):  # rows of one rank share a stack
+            z, iterations, converged = _solve_batched_l1(*stacks, ys[sel], eps[sel], w[sel],
+                                                         **opts)
+            for r, j in enumerate(sel):
+                p = problems[rows[j]]
+                solved[rows[j]] = (z[r], float(np.linalg.norm(p.psi.psi @ z[r] - p.y)),
+                                   int(iterations[r]), bool(converged[r]))
+    wall_time = (time.perf_counter() - t0) / len(problems)
+    return [RecoveryResult(z, residual, iterations, wall_time, converged)
+            for z, residual, iterations, converged in solved]
 
 
 def solve_wlasso_scaled(problem: RecoveryProblem, part: BlockPartition, **opts) -> RecoveryResult:

@@ -24,7 +24,7 @@ from widescan.harness import (
     sigma_for_snr,
     timing_table,
 )
-from widescan.recovery import wlasso_batch
+from widescan.recovery import l1_batch
 
 
 # A small cooperative_round on top of small_cfg: 3 SUs of 20 rows, n = 40.
@@ -471,10 +471,10 @@ class TestHarnessRuns:
 
         def spy_batch(problems, part, **opts):
             seen.extend((p.y, p.epsilon) for p in problems)
-            return wlasso_batch(problems, part, **opts)
+            return l1_batch(problems, part, **opts)
 
         monkeypatch.setattr(harness, "pool_and_recover", spy_pool)
-        monkeypatch.setattr(harness, "wlasso_batch", spy_batch)
+        monkeypatch.setattr(harness, "l1_batch", spy_batch)
         cfg = small_cfg(**dict(COOP_FIELDS, trials=2, snr_db=math.inf, fusion_mode=fusion_mode))
         run_experiment(cfg)
         assert len(seen) == (2 if fusion_mode == "pool" else 6)

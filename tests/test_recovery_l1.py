@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,19 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import gaussian_sensing, sparse_signal
-from widescan.measurement import ReductionMatrix, compose_sensing
+from widescan.measurement import ReductionMatrix, SensingMatrix, compose_sensing
 from widescan.recovery import (
     RecoveryProblem,
     SvdFactor,
     _BallProjection,
+    _rank_stacks,
+    _solve_batched_l1,
     _solve_constrained_l1,
-    _solve_shared_l1,
     design_weights,
+    l1_batch,
     solve_bp,
     solve_lasso,
     solve_wlasso,
     solve_wlasso_scaled,
-    wlasso_batch,
 )
 from widescan.spectrum import make_block_partition
 
@@ -332,8 +334,36 @@ def _shared_psi_batch(seed, rows=12, m=12, n=30, noise=0.05, scale=1.0):
     return psi, np.stack(ys), part, design_weights([3.0, 1.0, 0.5])
 
 
+def _per_row_psi_problems(seed, rows=12, m=12, n=30, noise=0.05, budget=0.3, weighted=True):
+    """(problems, block partition) of rows problems, each on its own Psi."""
+    rng = np.random.default_rng(seed)
+    part = make_block_partition(n, [10, 10, 10], [0.3, 0.1, 0.05])
+    w = design_weights([3.0, 1.0, 0.5]) if weighted else None
+    problems = []
+    for r in range(rows):
+        psi = gaussian_sensing(m, n, seed=seed * 1000 + r)
+        x, _ = sparse_signal(n, 3, rng)
+        y = psi.psi @ x + noise * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        problems.append(RecoveryProblem(psi=psi, y=y, epsilon=budget, weights=w))
+    return problems, part
+
+
 def _fingerprint(result):
     return (result.z_star.tobytes(), result.residual_norm, result.iterations, result.converged)
+
+
+def _assert_batch_is_split_and_order_free(problems, part, pieces):
+    whole = [_fingerprint(r) for r in l1_batch(problems, part)]
+    for piece in pieces:
+        split = [
+            _fingerprint(r)
+            for i in range(0, len(problems), piece)
+            for r in l1_batch(problems[i:i + piece], part)
+        ]
+        assert split == whole
+    order = np.random.default_rng(0).permutation(len(problems))
+    shuffled = l1_batch([problems[i] for i in order], part)
+    assert [_fingerprint(shuffled[k]) for k in np.argsort(order)] == whole
 
 
 class TestSharedPsiBatch:
@@ -342,20 +372,25 @@ class TestSharedPsiBatch:
         # of the batch gives bitwise the same rows
         psi, ys, part, w = _shared_psi_batch(21, rows=15)
         problems = [RecoveryProblem(psi=psi, y=y, epsilon=0.3, weights=w) for y in ys]
-        whole = [_fingerprint(r) for r in wlasso_batch(problems, part)]
-        for piece in (1, 4, 7):
-            split = [
-                _fingerprint(r)
-                for i in range(0, len(problems), piece)
-                for r in wlasso_batch(problems[i:i + piece], part)
-            ]
-            assert split == whole
-        order = np.random.default_rng(0).permutation(len(problems))
-        shuffled = wlasso_batch([problems[i] for i in order], part)
-        assert [_fingerprint(shuffled[k]) for k in np.argsort(order)] == whole
+        _assert_batch_is_split_and_order_free(problems, part, (1, 4, 7))
+
+    def test_rows_on_one_psi_share_its_factor(self, monkeypatch):
+        import widescan.recovery as recovery
+
+        built = []
+
+        class SpyFactor(recovery.SvdFactor):
+            def __init__(self, a_mat):
+                built.append(a_mat.shape)
+                super().__init__(a_mat)
+
+        monkeypatch.setattr(recovery, "SvdFactor", SpyFactor)
+        psi, ys, part, w = _shared_psi_batch(8, rows=5)
+        l1_batch([RecoveryProblem(psi=psi, y=y, epsilon=0.3, weights=w) for y in ys], part)
+        assert built == [psi.psi.shape]
 
     @pytest.mark.parametrize("case", ["unreachable", "tiny_budget", "max_iter_cap",
-                                      "rho_both_ways", "per_row_weights"])
+                                      "rho_both_ways", "per_row_weights", "per_row_psi"])
     def test_agrees_with_the_serial_core(self, case):
         psi, ys, _, _ = _shared_psi_batch(
             5, rows=6, scale=1e-2 if case == "rho_both_ways" else 1.0
@@ -363,9 +398,9 @@ class TestSharedPsiBatch:
         a = psi.psi
         eps = np.full(len(ys), 0.3 * (1e-2 if case == "rho_both_ways" else 1.0))
         weights = np.ones((len(ys), a.shape[1]))
-        opts = {}
+        mats, opts = [a] * len(ys), {}
         if case == "unreachable":  # rank 8 of 12 rows: the part of y outside range(Psi)
-            a = np.vstack([a[:8], a[:4]])
+            mats = [np.vstack([a[:8], a[:4]])] * len(ys)
             eps[::2] = 1e-3  # is out of reach for these rows only
         elif case == "tiny_budget":  # the budget solve_bp sets
             eps = 1e-9 * np.linalg.norm(ys, axis=1)
@@ -373,35 +408,81 @@ class TestSharedPsiBatch:
             opts = {"max_iter": 30}
         elif case == "per_row_weights":
             weights = np.random.default_rng(9).uniform(0.2, 3.0, weights.shape)
-        batch = _solve_shared_l1(a, ys, eps, weights, SvdFactor(a), **opts)
-        for y, e, w, got in zip(ys, eps, weights, batch):
-            want = _solve_constrained_l1(a, y, e, w, **opts)
+        elif case == "per_row_psi":
+            mats = [gaussian_sensing(12, 30, seed=40 + r).psi for r in range(len(ys))]
+        ((_, *stacks),) = _rank_stacks(mats if case == "per_row_psi" else mats[:1], ys)
+        z, iterations, converged = _solve_batched_l1(*stacks, ys, eps, weights, **opts)
+        for r, (b, y, e, w) in enumerate(zip(mats, ys, eps, weights)):
+            want = _solve_constrained_l1(b, y, e, w, **opts)
+            assert (iterations[r], converged[r]) == (want.iterations, want.converged)
+            assert np.linalg.norm(z[r] - want.z_star) <= 1e-9 * np.linalg.norm(want.z_star)
+        if case == "unreachable":
+            assert not converged[::2].any()
+        if case == "max_iter_cap":
+            assert set(iterations) == {30}
+
+    def test_rejects_an_empty_batch_and_weights_without_a_partition(self):
+        with pytest.raises(ValueError, match="at least one problem"):
+            l1_batch([])
+        psi, ys, _, w = _shared_psi_batch(3, rows=2)
+        with pytest.raises(ValueError, match="no block weights"):
+            l1_batch([RecoveryProblem(psi=psi, y=ys[0], epsilon=0.3, weights=w)])
+
+
+class TestPerRowPsiBatch:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_no_row_depends_on_its_batch_mates(self, weighted):
+        problems, part = _per_row_psi_problems(31, rows=15, weighted=weighted)
+        _assert_batch_is_split_and_order_free(problems, part if weighted else None, (1, 3, 7))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_agrees_with_the_one_problem_solvers(self, weighted):
+        problems, part = _per_row_psi_problems(32, rows=8, weighted=weighted)
+        for problem, got in zip(problems, l1_batch(problems, part if weighted else None)):
+            want = solve_wlasso(problem, part) if weighted else solve_lasso(problem)
             assert (got.iterations, got.converged) == (want.iterations, want.converged)
             assert np.linalg.norm(got.z_star - want.z_star) <= 1e-9 * np.linalg.norm(want.z_star)
-        if case == "unreachable":
-            assert [r.converged for r in batch[::2]] == [False] * 3
-        if case == "max_iter_cap":
-            assert {r.iterations for r in batch} == {30}
+            assert abs(got.residual_norm - want.residual_norm) <= 1e-9 * want.residual_norm
 
-    def test_rejects_problems_on_different_psi(self):
-        psi, ys, part, w = _shared_psi_batch(3, rows=2)
-        other = gaussian_sensing(12, 30, seed=4)
-        problems = [RecoveryProblem(psi=p, y=y, epsilon=0.3, weights=w)
-                    for p, y in zip((psi, other), ys)]
-        with pytest.raises(ValueError, match="same Psi"):
-            wlasso_batch(problems, part)
+    def test_mixed_ranks_match_the_serial_core(self):
+        # a duplicated row makes one Psi rank 11 of 12: its SvdFactor drops a
+        # singular value, so it runs in a stack of its own
+        problems, part = _per_row_psi_problems(33, rows=7, budget=0.2)
+        a = problems[3].psi.psi
+        deficient = SensingMatrix(psi=np.vstack([a[:11], a[:1]]))
+        assert SvdFactor(deficient.psi).s.size == 11
+        rng = np.random.default_rng(5)
+        y = deficient.psi @ sparse_signal(30, 3, rng)[0] + 0.05 * rng.standard_normal(12)
+        problems[3] = replace(problems[3], psi=deficient, y=y)
+        unreachable = replace(problems[5], psi=deficient, epsilon=1e-4)
+        problems.append(unreachable)
+        batch = l1_batch(problems, part)
+        for problem, got in zip(problems, batch):
+            want = solve_wlasso(problem, part)
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+            assert np.linalg.norm(got.z_star - want.z_star) <= 1e-9 * np.linalg.norm(want.z_star)
+        assert not batch[-1].converged  # y's part outside range(Psi) exceeds the budget
+        assert [_fingerprint(r) for r in l1_batch(problems[3:4], part)] == [
+            _fingerprint(batch[3])
+        ]
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.integers(0, 2**31), st.floats(0.02, 0.8))
-def test_converged_batched_rows_are_feasible(seed, eps_scale):
-    psi, ys, part, w = _shared_psi_batch(seed, rows=5)
-    budgets = eps_scale * np.random.default_rng(seed).uniform(0.5, 1.5, len(ys))
-    problems = [RecoveryProblem(psi=psi, y=y, epsilon=e, weights=w) for y, e in zip(ys, budgets)]
-    for problem, res in zip(problems, wlasso_batch(problems, part)):
+@given(st.integers(0, 2**31), st.floats(0.02, 0.8), st.booleans())
+def test_converged_batched_rows_are_feasible(seed, eps_scale, per_row_psi):
+    budgets = eps_scale * np.random.default_rng(seed).uniform(0.5, 1.5, 5)
+    if per_row_psi:
+        problems, part = _per_row_psi_problems(seed % 2**20, rows=5)
+        problems = [replace(p, epsilon=e) for p, e in zip(problems, budgets)]
+    else:
+        psi, ys, part, w = _shared_psi_batch(seed, rows=5)
+        problems = [RecoveryProblem(psi=psi, y=y, epsilon=e, weights=w)
+                    for y, e in zip(ys, budgets)]
+    for problem, res in zip(problems, l1_batch(problems, part)):
         if res.converged:
             assert res.residual_norm <= problem.epsilon * (1 + 1e-6)
-        assert abs(np.linalg.norm(psi.psi @ res.z_star - problem.y) - res.residual_norm) <= 1e-9
+        residual = np.linalg.norm(problem.psi.psi @ res.z_star - problem.y)
+        assert abs(residual - res.residual_norm) <= 1e-9
 
 
 class TestBasisPursuit:

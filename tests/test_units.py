@@ -2,9 +2,9 @@
 
 run_experiment runs each kind's planned units in plan order. These tests run
 the same plan in reverse, put the results back in plan order and compare,
-split the vote rounds' one unit into several, and install counting spies
-where perfbench's tracer wraps names (the solver names and wlasso_batch in
-widescan.harness and widescan.cooperative, and
+split the vote rounds' one unit into several, resize the sweep's blocks of
+cells, and install counting spies where perfbench's tracer wraps names (the
+solver names and l1_batch in widescan.harness and widescan.cooperative, and
 widescan.cooperative.make_afe_bank).
 """
 
@@ -16,7 +16,7 @@ import pytest
 import widescan.cooperative as cooperative
 import widescan.harness as harness
 from widescan.config import ExperimentConfig
-from widescan.harness import plan_units, run_experiment
+from widescan.harness import plan_units, run_experiment, timing_table
 
 SMALL = dict(
     trials=2, master_seed=99, n=40, block_sizes=(20, 20), block_probs=(0.35, 0.05),
@@ -41,8 +41,9 @@ CASES = {
 }
 SOLVER_NAMES = (
     "solve_lasso", "solve_wlasso", "solve_wlasso_scaled", "solve_bp",
-    "solve_omp", "solve_cosamp", "solve_assamp", "wlasso_batch",
+    "solve_omp", "solve_cosamp", "solve_assamp", "l1_batch",
 )
+BATCHED = ("lasso", "wlasso")  # solved by l1_batch in a recovery sweep
 
 
 def _comparable(records):
@@ -68,16 +69,20 @@ def test_units_run_in_reverse_give_the_same_records(case):
         assert log == []
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_spies_see_every_solve_and_bank_draw(monkeypatch, case):
+def _install_spies(monkeypatch) -> Counter:
+    """Count every solve and bank draw; a batch counts one call per problem
+    it solves, under l1_batch[lasso] or l1_batch[wlasso]."""
     calls = Counter()
 
     def spy(module, name):
         original = getattr(module, name)
 
         def counted(*args, **kwargs):
-            # a batch counts one call per problem it solves
-            calls[name] += len(args[0]) if name == "wlasso_batch" else 1
+            if name == "l1_batch":
+                part = args[1] if len(args) > 1 else kwargs.get("part")
+                calls[f"l1_batch[{'lasso' if part is None else 'wlasso'}]"] += len(args[0])
+            else:
+                calls[name] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -87,7 +92,12 @@ def test_spies_see_every_solve_and_bank_draw(monkeypatch, case):
             if hasattr(module, name):
                 spy(module, name)
     spy(cooperative, "make_afe_bank")
+    return calls
 
+
+@pytest.mark.parametrize("case", CASES)
+def test_spies_see_every_solve_and_bank_draw(monkeypatch, case):
+    calls = _install_spies(monkeypatch)
     cfg = ExperimentConfig(**CASES[case])
     records, _, _ = run_experiment(cfg)
     banks = calls.pop("make_afe_bank", 0)
@@ -95,13 +105,17 @@ def test_spies_see_every_solve_and_bank_draw(monkeypatch, case):
     # every record that carries an estimate came from a spied solve
     solved = [r for r in records if r.iterations > 0]
     assert sum(calls.values()) == len(solved)
-    if cfg.kind in ("nmse_vs_snr", "error_gain_vs_m", "coherence_study", "timing_table"):
+    if cfg.kind == "timing_table":  # one solve at a time: criterion 08 times each
+        assert calls == Counter({f"solve_{s}": cfg.trials for s in cfg.solvers})
+    elif cfg.kind in ("nmse_vs_snr", "error_gain_vs_m", "coherence_study"):
         per_point = cfg.trials * len(cfg.sweep)
-        assert calls == Counter({f"solve_{s}": per_point for s in cfg.solvers})
+        assert calls == Counter({
+            f"l1_batch[{s}]" if s in BATCHED else f"solve_{s}": per_point for s in cfg.solvers
+        })
     elif case == "cooperative_pending":
         assert not calls
     elif case == "cooperative_vote":  # one batch per SU
-        assert calls == Counter({"wlasso_batch": cfg.trials * cfg.su_count})
+        assert calls == Counter({"l1_batch[wlasso]": cfg.trials * cfg.su_count})
     else:
         assert set(calls) == {"solve_wlasso"}
 
@@ -120,3 +134,25 @@ def test_vote_run_is_a_prefix_of_a_longer_run():
     short, _, _ = run_experiment(ExperimentConfig(**dict(COOP, trials=20)))
     long, _, _ = run_experiment(ExperimentConfig(**dict(COOP, trials=40)))
     assert _comparable(short) == _comparable(long[:len(short)])
+
+
+def test_timing_table_solves_one_problem_at_a_time(monkeypatch):
+    # criterion 08 compares per-solve times, so no timing solve is batched
+    calls = _install_spies(monkeypatch)
+    cfg = ExperimentConfig(**dict(CASES["timing_table"], trials=3, solvers=("lasso", "wlasso")))
+    records, _, _ = timing_table(cfg)
+    assert calls == Counter({"solve_lasso": 3, "solve_wlasso": 3})
+    assert len(records) == 6
+
+
+@pytest.mark.parametrize("case", ["nmse_vs_snr", "error_gain_vs_m", "coherence_study"])
+def test_sweep_block_size_moves_no_output_bit(monkeypatch, case):
+    cfg = ExperimentConfig(**dict(CASES[case], trials=5))
+    if case == "coherence_study":  # coherence rows between batched solver rows
+        cfg = replace(cfg, solvers=("lasso", "omp", "wlasso"))
+    runs = []
+    for block in (1, 7, 20):
+        monkeypatch.setattr(harness, "SWEEP_BLOCK", block)
+        assert len(list(plan_units(cfg))) == -(-cfg.trials * len(cfg.sweep) // block)
+        runs.append(_comparable(run_experiment(cfg)[0]))
+    assert runs[0] == runs[1] == runs[2]
